@@ -1,6 +1,8 @@
 //! Fig. 1 / Fig. 2 experiment: CFD violation detection on the customer
 //! relation, scaling the number of tuples and the error rate, with the
-//! traditional-FD baseline and incremental detection.
+//! traditional-FD baseline and incremental detection.  The `cfd_detection`
+//! and `incremental_append` rows run the value-level reference detectors
+//! of `dq-oracle`; the `engine_*` rows run the production kernels.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dq_bench::{customer_workload, DETECTION_SIZES};
@@ -19,7 +21,7 @@ fn bench(c: &mut Criterion) {
     for &size in &DETECTION_SIZES {
         let workload = customer_workload(size, 0.05);
         group.bench_with_input(BenchmarkId::new("cfd_detection", size), &size, |b, _| {
-            b.iter(|| detect_cfd_violations(&workload.dirty, &cfds).total())
+            b.iter(|| dq_oracle::detect_cfd_violations(&workload.dirty, &cfds).total())
         });
         // The shared-index parallel engine, cold (fresh pool every call) and
         // warm (pool amortized across calls on the unchanged instance).
@@ -52,7 +54,11 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("incremental_append", size),
             &size,
-            |b, _| b.iter(|| detect_cfd_violations_incremental(&extended, &cfds, &added).total()),
+            |b, _| {
+                b.iter(|| {
+                    dq_oracle::detect_cfd_violations_incremental(&extended, &cfds, &added).total()
+                })
+            },
         );
         let engine = DetectionEngine::new();
         group.bench_with_input(

@@ -187,7 +187,8 @@ fn profile_field(
 /// Two dependency sets per size — the three paper CFDs (three distinct
 /// LHSs) and their normalized fragments (eleven CFDs, still three distinct
 /// LHSs, the regime index sharing targets) — and three detection paths each:
-/// * `naive` — `detect_cfd_violations`, one fresh index per CFD per call;
+/// * `naive` — `dq_oracle::detect_cfd_violations`, the value-level
+///   reference: one fresh `Vec<Value>`-keyed index per CFD per call;
 /// * `engine_cold` — `DetectionEngine` with an empty pool: one *interned*
 ///   index build per distinct LHS over the columnar snapshot, parallel
 ///   fan-out across dependencies;
@@ -217,11 +218,11 @@ fn detection_bench(smoke: bool, profile: bool) {
         for (label, cfds) in sets {
             // Throwaway runs of both paths so neither pays the allocator's
             // first-touch page faults inside a measurement.
-            let _ = detect_cfd_violations(&workload.dirty, cfds);
+            let _ = dq_oracle::detect_cfd_violations(&workload.dirty, cfds);
             let _ = DetectionEngine::new().detect_cfd_violations(&workload.dirty, cfds);
             let reps = 3;
             let (naive_ms, naive_total) = timed_median(reps, || {
-                detect_cfd_violations(&workload.dirty, cfds).total()
+                dq_oracle::detect_cfd_violations(&workload.dirty, cfds).total()
             });
             // Genuinely cold engine passes: clones carry fresh instance
             // identities and empty columnar caches, so each rep pays the
@@ -729,9 +730,9 @@ fn ind_bench(smoke: bool, profile: bool) {
 /// mutation stream — donor-copy cell edits (always in-domain, and usually
 /// moving the tuple between LHS groups of some CFD) plus duplicate-tuple
 /// appends, driven by a fixed LCG so every round is reproducible:
-/// * `rebuild` — `detect_cfd_violations` from scratch after every round,
-///   one fresh index per CFD per call: the cost any pooled consumer paid
-///   before cell writes became patchable;
+/// * `rebuild` — `dq_oracle::detect_cfd_violations` from scratch after
+///   every round, one fresh `Vec<Value>`-keyed index per CFD per call: the
+///   cost any pooled consumer paid before cell writes became patchable;
 /// * `patch` — `DetectionEngine::maintain_cfd_violations` against the
 ///   previous round's report: the delta journal lists the changed cells,
 ///   the pooled indexes absorb them as CSR row moves (`patches` in the
@@ -768,7 +769,7 @@ fn delta_bench(smoke: bool, profile: bool) {
         // Round 0 runs outside the timers on both paths: the baseline pays
         // a full detection per round by design, and the incremental path
         // starts from an initial report exactly like a monitor would.
-        let mut baseline = detect_cfd_violations(&rebuild_instance, &cfds);
+        let mut baseline = dq_oracle::detect_cfd_violations(&rebuild_instance, &cfds);
         let mut maintained = engine.maintain_cfd_violations(&patch_instance, &cfds, None);
         assert_eq!(&baseline, maintained.report());
 
@@ -817,7 +818,7 @@ fn delta_bench(smoke: bool, profile: bool) {
                     instance.insert(tuple.clone()).expect("same schema");
                 }
             }
-            let (ms, report) = timed(|| detect_cfd_violations(&rebuild_instance, &cfds));
+            let (ms, report) = timed(|| dq_oracle::detect_cfd_violations(&rebuild_instance, &cfds));
             rebuild_ms += ms;
             baseline = report;
             let (ms, next_maintained) =

@@ -293,14 +293,14 @@ mod tests {
     #[test]
     fn engine_backed_stages_match_naive_detection_counts() {
         // The pipeline detects through a shared engine; its reported counts
-        // must equal what the naive per-dependency detectors find.
+        // must equal what the value-level reference detectors find.
         let w = workload();
         let report = CleaningPipeline::repair_only(paper_cfds())
             .run(&w.dirty)
             .expect("consistent rule set");
-        let naive = dq_core::detect::detect_cfd_violations(&w.dirty, &paper_cfds());
+        let naive = dq_oracle::detect_cfd_violations(&w.dirty, &paper_cfds());
         assert_eq!(report.initial_violations, naive.total());
-        let naive_after = dq_core::detect::detect_cfd_violations(&report.cleaned, &paper_cfds());
+        let naive_after = dq_oracle::detect_cfd_violations(&report.cleaned, &paper_cfds());
         assert_eq!(report.remaining_violations, naive_after.total());
     }
 

@@ -10,7 +10,7 @@
 //! ever delete tuples.
 
 use crate::fd::Fd;
-use dq_relation::{CompOp, HashIndex, InternedIndex, RelationInstance, TupleId, Value};
+use dq_relation::{CompOp, RelationInstance, StoreShardSource, TupleId, Value};
 use std::fmt;
 
 /// One side of a comparison inside a denial constraint.
@@ -37,13 +37,6 @@ impl DcTerm {
     pub fn val(v: impl Into<Value>) -> Self {
         DcTerm::Const(v.into())
     }
-
-    fn eval<'a>(&'a self, tuples: &'a [&dq_relation::Tuple]) -> &'a Value {
-        match self {
-            DcTerm::Attr { var, attr } => tuples[*var].get(*attr),
-            DcTerm::Const(v) => v,
-        }
-    }
 }
 
 /// A comparison predicate inside a denial constraint.
@@ -61,11 +54,6 @@ impl DcPredicate {
     /// Creates a predicate.
     pub fn new(left: DcTerm, op: CompOp, right: DcTerm) -> Self {
         DcPredicate { left, op, right }
-    }
-
-    fn eval(&self, tuples: &[&dq_relation::Tuple]) -> bool {
-        self.op
-            .eval(self.left.eval(tuples), self.right.eval(tuples))
     }
 }
 
@@ -135,8 +123,7 @@ impl DenialConstraint {
     /// constraint to fire: every predicate of the shape
     /// `t1[a] = t2[a]` (in either variable order).  When non-empty, a
     /// violating pair necessarily lies inside one hash group of an index on
-    /// these attributes, which lets detection skip the quadratic pair scan —
-    /// see [`violations_with_index`](Self::violations_with_index).
+    /// these attributes, which lets detection skip the quadratic pair scan.
     ///
     /// Returns `None` for constraints that are not two-variable or have no
     /// such equality predicate.
@@ -166,126 +153,16 @@ impl DenialConstraint {
         }
     }
 
-    /// Violations of a two-variable constraint, probing a caller-supplied
-    /// index of `instance` on exactly
-    /// [`pair_partition_attrs`](Self::pair_partition_attrs).
+    /// All violations: combinations of tuples satisfying every predicate,
+    /// in ascending order, each unordered pair reported once with the
+    /// smaller tuple id bound to the first variable.  Runs the denial kernel
+    /// of [`crate::stream`] over the instance's columnar snapshot.
     ///
-    /// Produces the same pairs as [`violations`](Self::violations) — each
-    /// ordered candidate pair is evaluated against every predicate, so
-    /// asymmetric comparisons behave identically — in the same sorted order.
-    pub fn violations_with_index(
-        &self,
-        instance: &RelationInstance,
-        index: &HashIndex,
-    ) -> Vec<Vec<TupleId>> {
-        debug_assert_eq!(
-            Some(index.attrs().to_vec()),
-            self.pair_partition_attrs(),
-            "index keyed off the constraint's equality attributes"
-        );
-        let mut out = Vec::new();
-        for (_, group) in index.multi_groups() {
-            let tuples: Vec<&dq_relation::Tuple> = group
-                .iter()
-                .map(|&id| instance.tuple(id).expect("live tuple"))
-                .collect();
-            // Group ids are in ascending insertion order, so `j > i` is
-            // exactly the `id1 < id2` reporting rule of `violations`.
-            for i in 0..group.len() {
-                for j in (i + 1)..group.len() {
-                    if self
-                        .predicates
-                        .iter()
-                        .all(|p| p.eval(&[tuples[i], tuples[j]]))
-                    {
-                        out.push(vec![group[i], group[j]]);
-                    }
-                }
-            }
-        }
-        // `violations` reports pairs in ascending (first, second) order;
-        // group iteration is nondeterministic, so sort to match.
-        out.sort_unstable();
-        out
-    }
-
-    /// Violations of a two-variable constraint, probing an *interned* index
-    /// of `instance` on exactly
-    /// [`pair_partition_attrs`](Self::pair_partition_attrs).  The interned
-    /// groups are identical to the value-keyed groups (dictionary ids
-    /// preserve equality), and predicates — which may involve order
-    /// comparisons — are still evaluated on the actual tuples, so the
-    /// output equals [`violations_with_index`](Self::violations_with_index)
-    /// exactly.
-    pub fn violations_with_interned_index(
-        &self,
-        instance: &RelationInstance,
-        index: &InternedIndex,
-    ) -> Vec<Vec<TupleId>> {
-        debug_assert_eq!(
-            Some(index.attrs().to_vec()),
-            self.pair_partition_attrs(),
-            "index keyed off the constraint's equality attributes"
-        );
-        let mut out = Vec::new();
-        for (_, rows) in index.multi_groups() {
-            // Rows ascend within a group, so `j > i` is exactly the
-            // `id1 < id2` reporting rule of `violations`.
-            let ids: Vec<TupleId> = rows.iter().map(|&r| index.tuple_id(r)).collect();
-            let tuples: Vec<&dq_relation::Tuple> = ids
-                .iter()
-                .map(|&id| instance.tuple(id).expect("live tuple"))
-                .collect();
-            for i in 0..ids.len() {
-                for j in (i + 1)..ids.len() {
-                    if self
-                        .predicates
-                        .iter()
-                        .all(|p| p.eval(&[tuples[i], tuples[j]]))
-                    {
-                        out.push(vec![ids[i], ids[j]]);
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// All violations: combinations of tuples satisfying every predicate.
-    /// Supports one or two tuple variables (all constraints in the paper's
-    /// examples have at most two).
+    /// # Panics
+    /// Panics unless the constraint has one or two tuple variables (all
+    /// constraints in the paper's examples have at most two).
     pub fn violations(&self, instance: &RelationInstance) -> Vec<Vec<TupleId>> {
-        let mut out = Vec::new();
-        match self.vars {
-            1 => {
-                for (id, t) in instance.iter() {
-                    if self.predicates.iter().all(|p| p.eval(&[t])) {
-                        out.push(vec![id]);
-                    }
-                }
-            }
-            2 => {
-                let entries: Vec<(TupleId, &dq_relation::Tuple)> = instance.iter().collect();
-                for i in 0..entries.len() {
-                    for j in 0..entries.len() {
-                        if i == j {
-                            continue;
-                        }
-                        let (id1, t1) = entries[i];
-                        let (id2, t2) = entries[j];
-                        if self.predicates.iter().all(|p| p.eval(&[t1, t2])) {
-                            // Report unordered pairs once.
-                            if id1 < id2 {
-                                out.push(vec![id1, id2]);
-                            }
-                        }
-                    }
-                }
-            }
-            n => panic!("denial constraints with {n} tuple variables are not supported"),
-        }
-        out
+        crate::stream::denial_violations_from_shards(self, &StoreShardSource::new(instance))
     }
 
     /// Does the instance satisfy this denial constraint?

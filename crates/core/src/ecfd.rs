@@ -13,12 +13,10 @@
 //! consistency (NP-complete) or implication (coNP-complete); the benches of
 //! `dq-bench` measure the two classes side by side.
 
-use dq_relation::store::FxHashMap;
 use dq_relation::{
-    Column, DqError, DqResult, HashIndex, InternedIndex, KeyCodec, ProjectionKey, RelationInstance,
-    RelationSchema, TupleId, Value, ValueId,
+    DqError, DqResult, RelationInstance, RelationSchema, StoreShardSource, TupleId, Value,
 };
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -193,289 +191,18 @@ impl Ecfd {
         out
     }
 
-    /// Violations of the eCFD in `instance` — same two-pass structure as CFD
-    /// detection, with the generalized match operator.  Builds a fresh index
-    /// on the LHS; batch detection should share indexes through
-    /// [`crate::engine::DetectionEngine`].
+    /// Violations of the eCFD in `instance`, in canonical (sorted) order —
+    /// same two-pass structure as CFD detection, with the generalized match
+    /// operator: the eCFD kernel of [`crate::stream`] over the instance's
+    /// columnar snapshot, grouping with a streamed scan.  Batch detection
+    /// should share indexes through [`crate::engine::DetectionEngine`].
     pub fn violations(&self, instance: &RelationInstance) -> Vec<EcfdViolation> {
-        let index = HashIndex::build(instance, &self.lhs);
-        self.violations_with_index(instance, &index)
-    }
-
-    /// Violations of the eCFD, probing a caller-supplied index of `instance`
-    /// on exactly [`lhs`](Self::lhs).  Returns canonical (sorted) order.
-    pub fn violations_with_index(
-        &self,
-        instance: &RelationInstance,
-        index: &HashIndex,
-    ) -> Vec<EcfdViolation> {
-        debug_assert_eq!(
-            index.attrs(),
-            self.lhs.as_slice(),
-            "index keyed off the eCFD's LHS"
-        );
-        let mut out = Vec::new();
-        // Single-tuple violations of RHS set constraints.
-        for (pattern_idx, tp) in self.tableau.iter().enumerate() {
-            let rhs_constrains = tp.rhs.iter().any(|p| !matches!(p, SetPattern::Any));
-            if !rhs_constrains {
-                continue;
-            }
-            for (id, tuple) in instance.iter() {
-                let lhs_ok = tp
-                    .lhs
-                    .iter()
-                    .zip(&self.lhs)
-                    .all(|(p, &a)| p.matches(tuple.get(a)));
-                if lhs_ok {
-                    let rhs_ok = tp
-                        .rhs
-                        .iter()
-                        .zip(&self.rhs)
-                        .all(|(p, &a)| p.matches(tuple.get(a)));
-                    if !rhs_ok {
-                        out.push(EcfdViolation::SingleTuple {
-                            pattern: pattern_idx,
-                            tuple: id,
-                        });
-                    }
-                }
-            }
-        }
-        // Pair violations of the embedded FD restricted to matching tuples.
-        //
-        // Following [19], the functional (equality) requirement applies only
-        // to RHS positions carrying the unnamed variable `_`; a set entry is
-        // a per-tuple domain restriction (handled in the first pass) and does
-        // not force two matching tuples to agree — `ecfd2` constrains NYC
-        // area codes to a set without making all NYC tuples share one code.
-        // As in CFD detection, partitioning each group by the projection the
-        // pattern forces to be functional replaces the quadratic pair scan
-        // with work linear in the group plus the reported violations.
-        let mut by_proj: HashMap<Vec<Value>, Vec<TupleId>> = HashMap::new();
-        for (key, group) in index.multi_groups() {
-            for (pattern_idx, tp) in self.tableau.iter().enumerate() {
-                if !tp.lhs.iter().zip(key.iter()).all(|(p, v)| p.matches(v)) {
-                    continue;
-                }
-                let equality_attrs: Vec<usize> = tp
-                    .rhs
-                    .iter()
-                    .zip(&self.rhs)
-                    .filter(|(p, _)| matches!(p, SetPattern::Any))
-                    .map(|(_, &a)| a)
-                    .collect();
-                if equality_attrs.is_empty() {
-                    continue;
-                }
-                by_proj.clear();
-                for &id in group {
-                    let tuple = instance.tuple(id).expect("live tuple");
-                    by_proj
-                        .entry(tuple.project(&equality_attrs))
-                        .or_default()
-                        .push(id);
-                }
-                if by_proj.len() < 2 {
-                    continue;
-                }
-                let partitions: Vec<&Vec<TupleId>> = by_proj.values().collect();
-                for (i, first_part) in partitions.iter().enumerate() {
-                    for second_part in &partitions[i + 1..] {
-                        for &a in *first_part {
-                            for &b in *second_part {
-                                let (first, second) = if a < b { (a, b) } else { (b, a) };
-                                out.push(EcfdViolation::TuplePair {
-                                    pattern: pattern_idx,
-                                    first,
-                                    second,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Canonical order, for the same report-equality reasons as CFDs.
-        out.sort_unstable();
-        out
+        crate::stream::ecfd_violations_from_shards(self, &StoreShardSource::new(instance))
     }
 
     /// Does the instance satisfy this eCFD?
     pub fn holds_on(&self, instance: &RelationInstance) -> bool {
         self.violations(instance).is_empty()
-    }
-
-    /// Violations of the eCFD over the interned columnar representation —
-    /// set patterns are translated into per-column id sets once, then both
-    /// passes compare `u32`s.  Report equals
-    /// [`violations_with_index`](Self::violations_with_index) exactly.
-    pub fn violations_with_interned(
-        &self,
-        instance: &RelationInstance,
-        index: &InternedIndex,
-    ) -> Vec<EcfdViolation> {
-        debug_assert_eq!(
-            index.attrs(),
-            self.lhs.as_slice(),
-            "index keyed off the eCFD's LHS"
-        );
-        let store = index.store();
-        let lhs_cols = index.columns();
-        let rhs_cols: Vec<Arc<Column>> = self
-            .rhs
-            .iter()
-            .map(|&a| store.column(instance, a))
-            .collect();
-        let interned_tableau: Vec<(Vec<InternedSetPattern>, Vec<InternedSetPattern>)> = self
-            .tableau
-            .iter()
-            .map(|tp| {
-                (
-                    tp.lhs
-                        .iter()
-                        .zip(lhs_cols)
-                        .map(|(p, c)| InternedSetPattern::of(p, c))
-                        .collect(),
-                    tp.rhs
-                        .iter()
-                        .zip(&rhs_cols)
-                        .map(|(p, c)| InternedSetPattern::of(p, c))
-                        .collect(),
-                )
-            })
-            .collect();
-        let mut out = Vec::new();
-        // Pass 1: single-tuple violations of RHS set constraints.
-        for (pattern_idx, (tp, (ilhs, irhs))) in
-            self.tableau.iter().zip(&interned_tableau).enumerate()
-        {
-            let rhs_constrains = tp.rhs.iter().any(|p| !matches!(p, SetPattern::Any));
-            if !rhs_constrains {
-                continue;
-            }
-            // An `∈ S` entry whose members are all absent from the column
-            // matches no row at all — skip the scan outright.
-            if ilhs
-                .iter()
-                .any(|p| matches!(p, InternedSetPattern::In(ids) if ids.is_empty()))
-            {
-                continue;
-            }
-            for row in 0..store.len() {
-                let lhs_ok = ilhs
-                    .iter()
-                    .zip(lhs_cols)
-                    .all(|(p, c)| p.matches(c.id_at(row)));
-                if lhs_ok {
-                    let rhs_ok = irhs
-                        .iter()
-                        .zip(&rhs_cols)
-                        .all(|(p, c)| p.matches(c.id_at(row)));
-                    if !rhs_ok {
-                        out.push(EcfdViolation::SingleTuple {
-                            pattern: pattern_idx,
-                            tuple: store.tuple_id(row),
-                        });
-                    }
-                }
-            }
-        }
-        // Pass 2: pair violations of the embedded FD restricted to matching
-        // tuples.  As in the value path, the functional requirement applies
-        // only to RHS positions carrying `_`; per pattern, those positions'
-        // projection packs into a machine word for the group partitioning.
-        let per_pattern_codec: Vec<Option<KeyCodec>> = self
-            .tableau
-            .iter()
-            .map(|tp| {
-                let equality_cols: Vec<Arc<Column>> = tp
-                    .rhs
-                    .iter()
-                    .zip(&rhs_cols)
-                    .filter(|(p, _)| matches!(p, SetPattern::Any))
-                    .map(|(_, c)| Arc::clone(c))
-                    .collect();
-                if equality_cols.is_empty() {
-                    None
-                } else {
-                    Some(KeyCodec::new(equality_cols))
-                }
-            })
-            .collect();
-        let mut by_proj: FxHashMap<ProjectionKey, Vec<TupleId>> = FxHashMap::default();
-        for (key, rows) in index.multi_groups() {
-            for (pattern_idx, (ilhs, _)) in interned_tableau.iter().enumerate() {
-                if !ilhs.iter().zip(key.iter()).all(|(p, &id)| p.matches(id)) {
-                    continue;
-                }
-                let Some(codec) = &per_pattern_codec[pattern_idx] else {
-                    continue;
-                };
-                by_proj.clear();
-                for &row in rows {
-                    by_proj
-                        .entry(codec.pack_row(row as usize))
-                        .or_default()
-                        .push(index.tuple_id(row));
-                }
-                if by_proj.len() < 2 {
-                    continue;
-                }
-                let partitions: Vec<&Vec<TupleId>> = by_proj.values().collect();
-                for (i, first_part) in partitions.iter().enumerate() {
-                    for second_part in &partitions[i + 1..] {
-                        for &a in *first_part {
-                            for &b in *second_part {
-                                let (first, second) = if a < b { (a, b) } else { (b, a) };
-                                out.push(EcfdViolation::TuplePair {
-                                    pattern: pattern_idx,
-                                    first,
-                                    second,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-}
-
-/// A [`SetPattern`] translated into one column's dictionary: member values
-/// absent from the column are dropped (they can neither admit nor exclude
-/// any cell), and the surviving ids are kept sorted for binary-search
-/// membership tests.
-#[derive(Clone, Debug)]
-enum InternedSetPattern {
-    Any,
-    In(Vec<ValueId>),
-    NotIn(Vec<ValueId>),
-}
-
-impl InternedSetPattern {
-    fn of(p: &SetPattern, col: &Column) -> Self {
-        let translate = |s: &BTreeSet<Value>| {
-            let mut ids: Vec<ValueId> = s.iter().filter_map(|v| col.interner().lookup(v)).collect();
-            ids.sort_unstable();
-            ids
-        };
-        match p {
-            SetPattern::Any => InternedSetPattern::Any,
-            SetPattern::In(s) => InternedSetPattern::In(translate(s)),
-            SetPattern::NotIn(s) => InternedSetPattern::NotIn(translate(s)),
-        }
-    }
-
-    #[inline]
-    fn matches(&self, id: ValueId) -> bool {
-        match self {
-            InternedSetPattern::Any => true,
-            InternedSetPattern::In(ids) => ids.binary_search(&id).is_ok(),
-            InternedSetPattern::NotIn(ids) => ids.binary_search(&id).is_err(),
-        }
     }
 }
 
@@ -606,39 +333,23 @@ mod tests {
     }
 
     #[test]
-    fn interned_detection_equals_value_detection() {
-        let d = instance(&[
-            ("NYC", 212, "a"),
-            ("NYC", 518, "b"),
-            ("Albany", 518, "c"),
-            ("Albany", 212, "d"),
-            ("Buffalo", 716, "e"),
-            ("Buffalo", 716, "f"),
-        ]);
-        let store = d.columnar();
-        for ecfd in [ecfd1(), ecfd2()] {
-            let index = InternedIndex::build(&d, &store, ecfd.lhs(), 1);
-            assert_eq!(
-                ecfd.violations_with_interned(&d, &index),
-                ecfd.violations(&d)
-            );
-        }
-        // Sets whose members are absent from the instance still behave.
+    fn absent_set_members_neither_admit_nor_exclude() {
+        let d = instance(&[("NYC", 212, "a"), ("Albany", 518, "c")]);
+        // `∈ {Utica}` matches no tuple at all, `∉ {999}` admits every one.
         let ghost = Ecfd::new(
             &ny_schema(),
             &["CT"],
             &["AC"],
-            vec![EcfdPattern::new(
-                vec![SetPattern::in_set(["Utica"])],
-                vec![SetPattern::not_in([999i64])],
-            )],
+            vec![
+                EcfdPattern::new(
+                    vec![SetPattern::in_set(["Utica"])],
+                    vec![SetPattern::eq(1i64)],
+                ),
+                EcfdPattern::new(vec![SetPattern::any()], vec![SetPattern::not_in([999i64])]),
+            ],
         )
         .unwrap();
-        let index = InternedIndex::build(&d, &store, ghost.lhs(), 1);
-        assert_eq!(
-            ghost.violations_with_interned(&d, &index),
-            ghost.violations(&d)
-        );
+        assert!(ghost.holds_on(&d));
     }
 
     #[test]

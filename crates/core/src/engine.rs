@@ -1,11 +1,11 @@
 //! A shared-index, parallel violation-detection engine.
 //!
-//! The naive detectors of [`crate::detect`] build one hash index per
-//! dependency per call, even when dependencies share left-hand sides (every
-//! normalized fragment of a CFD keeps its parent's LHS) and even when the
-//! same instance is checked repeatedly.  On the paper's Fig. 1 scaling
-//! workloads index construction dominates detection, so the engine attacks
-//! exactly that cost:
+//! The unpooled detectors of [`crate::detect`] group every dependency's
+//! tuples afresh on each call, even when dependencies share left-hand sides
+//! (every normalized fragment of a CFD keeps its parent's LHS) and even when
+//! the same instance is checked repeatedly.  On the paper's Fig. 1 scaling
+//! workloads grouping dominates detection, so the engine attacks exactly
+//! that cost:
 //!
 //! * **index sharing** — dependencies are grouped by their LHS attribute
 //!   set, each distinct index is built once and memoized in an
@@ -21,24 +21,23 @@
 //!   shards across the thread pool so even a *single* huge dependency
 //!   parallelizes within its index.
 //!
-//! The engine is a pure optimization: for every dependency class it produces
-//! a report equal (including order — violation lists are canonicalized) to
-//! the corresponding naive detector's, which `tests/detect_equivalence.rs`
-//! checks property-style across generated workloads.
+//! The engine runs the same per-class kernels as every other entry point
+//! ([`crate::stream`]) and only chooses where their groups come from: the
+//! pooled index on the warm path, a streamed scan over a [`ShardSource`] on
+//! the `*_from_shards` paths.  `tests/detect_equivalence.rs` checks every
+//! path against the value-level reference detectors of the `dq-oracle`
+//! crate, property-style across generated workloads.
 
 use crate::cfd::{Cfd, CfdViolation};
 use crate::cind::Cind;
 use crate::denial::DenialConstraint;
-use crate::detect::{
-    incremental_cfd_violations_with_interned, CfdViolationReport, CindViolationReport,
-    EcfdViolationReport,
-};
+use crate::detect::{CfdViolationReport, CindViolationReport, EcfdViolationReport};
 use crate::ecfd::{Ecfd, EcfdViolation};
 use crate::ind::Ind;
-use dq_relation::store::FxHashMap;
+use crate::stream;
 use dq_relation::{
-    CellChange, Column, ColumnarStore, Database, DqResult, IndexPool, IndexPoolStats,
-    InternedIndex, KeyCodec, ProjectionKey, RelationInstance, ShardSource, TupleId, Value,
+    ColumnarStore, Database, DqResult, IndexPool, IndexPoolStats, InternedIndex, RelationInstance,
+    ShardSource, StoreShardSource, TupleId, ValueId,
 };
 use std::collections::BTreeSet;
 use std::num::NonZeroUsize;
@@ -129,6 +128,18 @@ impl DetectionEngine {
         });
     }
 
+    /// The pooled index of `instance` on `attrs` and a shard source over
+    /// the columnar snapshot it was built from: the kernels' warm path.
+    fn pooled<'i>(
+        &self,
+        instance: &'i RelationInstance,
+        attrs: &[usize],
+    ) -> (Arc<InternedIndex>, StoreShardSource<'i>) {
+        let index = self.pool.interned_for(instance, attrs, 1);
+        let source = StoreShardSource::with_store(instance, Arc::clone(index.store()));
+        (index, source)
+    }
+
     /// Detects all violations of `cfds` in `instance`.
     ///
     /// Equivalent to [`crate::detect::detect_cfd_violations`] — same
@@ -145,32 +156,18 @@ impl DetectionEngine {
         );
         self.warm_interned(instance, cfds.iter().map(|c| c.lhs().to_vec()).collect());
         let per_dependency: Vec<Vec<CfdViolation>> = parallel_map(cfds, self.threads, |cfd| {
-            let index = self.pool.interned_for(instance, cfd.lhs(), 1);
-            cfd.violations_with_interned(instance, &index)
+            let (index, source) = self.pooled(instance, cfd.lhs());
+            stream::cfd_kernel(cfd, &source, index.multi_group_rows())
         });
         CfdViolationReport::from_per_dependency(per_dependency)
-    }
-
-    /// Detection over a pre-vetted rule set from
-    /// [`analyze_cfds`](crate::analysis::analyze_cfds): runs
-    /// [`detect_cfd_violations`](Self::detect_cfd_violations) on the
-    /// analyzed (consistency-checked and possibly cover-pruned) rules, so
-    /// callers that vet once can hand the vetted set straight to the engine
-    /// without re-extracting the rule vector.
-    pub fn detect_analyzed_cfd_violations(
-        &self,
-        instance: &RelationInstance,
-        analyzed: &crate::analysis::AnalyzedCfds,
-    ) -> CfdViolationReport {
-        self.detect_cfd_violations(instance, &analyzed.rules)
     }
 
     /// Incremental detection: violations involving at least one tuple of
     /// `added`, assuming the rest of `instance` was already checked.
     ///
     /// Equivalent to [`crate::detect::detect_cfd_violations_incremental`],
-    /// but builds each distinct-LHS index once (pooled) instead of once per
-    /// CFD per call.
+    /// but reads the added tuples' groups off pooled indexes (one per
+    /// distinct LHS) instead of scanning the instance per CFD per call.
     pub fn detect_cfd_violations_incremental(
         &self,
         instance: &RelationInstance,
@@ -180,8 +177,8 @@ impl DetectionEngine {
         let _span = dq_obs::span!("detect.cfd.incremental", added = added.len());
         self.warm_interned(instance, cfds.iter().map(|c| c.lhs().to_vec()).collect());
         let per_dependency: Vec<Vec<CfdViolation>> = parallel_map(cfds, self.threads, |cfd| {
-            let index = self.pool.interned_for(instance, cfd.lhs(), 1);
-            incremental_cfd_violations_with_interned(instance, cfd, added, &index)
+            let (index, source) = self.pooled(instance, cfd.lhs());
+            stream::cfd_rederive(cfd, &source, added, groups_of(&index, added))
         });
         CfdViolationReport::from_per_dependency(per_dependency)
     }
@@ -197,8 +194,8 @@ impl DetectionEngine {
         let _span = dq_obs::span!("detect.ecfd", deps = ecfds.len());
         self.warm_interned(instance, ecfds.iter().map(|e| e.lhs().to_vec()).collect());
         let per_dependency: Vec<Vec<EcfdViolation>> = parallel_map(ecfds, self.threads, |ecfd| {
-            let index = self.pool.interned_for(instance, ecfd.lhs(), 1);
-            ecfd.violations_with_interned(instance, &index)
+            let (index, source) = self.pooled(instance, ecfd.lhs());
+            stream::ecfd_kernel(ecfd, &source, index.multi_group_rows())
         });
         EcfdViolationReport::from_per_dependency(per_dependency)
     }
@@ -207,9 +204,11 @@ impl DetectionEngine {
     ///
     /// Equivalent to [`crate::detect::detect_denial_violations`].
     /// Two-variable constraints with attribute equalities (FD- and key-shaped
-    /// constraints) are evaluated through a shared interned partition on
-    /// those attributes instead of the naive quadratic pair scan; other
-    /// shapes fall back to the naive evaluator, in parallel either way.
+    /// constraints) scan pairs only inside the groups of a shared pooled
+    /// index on those attributes; other shapes need no index.
+    ///
+    /// # Panics
+    /// Panics if a constraint has other than one or two tuple variables.
     pub fn detect_denial_violations(
         &self,
         instance: &RelationInstance,
@@ -226,10 +225,10 @@ impl DetectionEngine {
         parallel_map(constraints, self.threads, |dc| {
             match dc.pair_partition_attrs() {
                 Some(attrs) => {
-                    let index = self.pool.interned_for(instance, &attrs, 1);
-                    dc.violations_with_interned_index(instance, &index)
+                    let (index, source) = self.pooled(instance, &attrs);
+                    stream::denial_kernel(dc, &source, index.multi_group_rows())
                 }
-                None => dc.violations(instance),
+                None => stream::denial_kernel(dc, &StoreShardSource::new(instance), []),
             }
         })
     }
@@ -251,15 +250,48 @@ impl DetectionEngine {
             deps = cfds.len()
         );
         let per_dependency: Vec<Vec<CfdViolation>> = parallel_map(cfds, self.threads, |cfd| {
-            crate::stream::cfd_violations_from_shards(cfd, source)
+            stream::cfd_violations_from_shards(cfd, source)
         });
         CfdViolationReport::from_per_dependency(per_dependency)
+    }
+
+    /// Shard-cursor incremental CFD detection over any [`ShardSource`]:
+    /// [`detect_cfd_violations_incremental`](Self::detect_cfd_violations_incremental)
+    /// with each dependency's affected groups collected in one streamed
+    /// scan.
+    pub fn detect_cfd_violations_incremental_from_shards(
+        &self,
+        source: &dyn ShardSource,
+        cfds: &[Cfd],
+        added: &[TupleId],
+    ) -> CfdViolationReport {
+        let _span = dq_obs::span!("detect.cfd.incremental.stream", added = added.len());
+        let per_dependency: Vec<Vec<CfdViolation>> = parallel_map(cfds, self.threads, |cfd| {
+            stream::incremental_cfd_violations_from_shards(cfd, source, added)
+        });
+        CfdViolationReport::from_per_dependency(per_dependency)
+    }
+
+    /// Shard-cursor eCFD detection over any [`ShardSource`].  Produces
+    /// exactly [`detect_ecfd_violations`](Self::detect_ecfd_violations)'s
+    /// report over the same logical relation.
+    pub fn detect_ecfd_violations_from_shards(
+        &self,
+        source: &dyn ShardSource,
+        ecfds: &[Ecfd],
+    ) -> EcfdViolationReport {
+        let _span = dq_obs::span!("detect.ecfd.stream", deps = ecfds.len());
+        let per_dependency: Vec<Vec<EcfdViolation>> = parallel_map(ecfds, self.threads, |ecfd| {
+            stream::ecfd_violations_from_shards(ecfd, source)
+        });
+        EcfdViolationReport::from_per_dependency(per_dependency)
     }
 
     /// Shard-cursor denial-constraint detection over any [`ShardSource`].
     /// Produces exactly
     /// [`detect_denial_violations`](Self::detect_denial_violations)'s
-    /// reports over the same logical relation.
+    /// reports over the same logical relation, and panics on the same
+    /// unsupported arities.
     pub fn detect_denial_violations_from_shards(
         &self,
         source: &dyn ShardSource,
@@ -271,7 +303,7 @@ impl DetectionEngine {
             deps = constraints.len()
         );
         parallel_map(constraints, self.threads, |dc| {
-            crate::stream::denial_violations_from_shards(dc, source)
+            stream::denial_violations_from_shards(dc, source)
         })
     }
 
@@ -424,18 +456,26 @@ impl DetectionEngine {
                 self.warm_interned(instance, cfds.iter().map(|c| c.lhs().to_vec()).collect());
                 let items: Vec<(&Cfd, &Vec<CfdViolation>)> =
                     cfds.iter().zip(p.report.per_dependency()).collect();
-                let per_dependency =
-                    parallel_map(&items, self.threads, |(cfd, prev_violations)| {
-                        let index = self.pool.interned_for(instance, cfd.lhs(), 1);
-                        maintained_cfd_violations(
-                            instance,
-                            cfd,
-                            prev_violations,
-                            &changes,
-                            &appended,
-                            &index,
-                        )
-                    });
+                let per_dependency = parallel_map(&items, self.threads, |(cfd, prev)| {
+                    let relevant =
+                        |attr: usize| cfd.lhs().contains(&attr) || cfd.rhs().contains(&attr);
+                    let mut affected: Vec<TupleId> = appended.clone();
+                    affected.extend(
+                        changes
+                            .iter()
+                            .filter(|c| relevant(c.cell.attr))
+                            .map(|c| c.cell.tuple),
+                    );
+                    if affected.is_empty() {
+                        return prev.to_vec();
+                    }
+                    affected.sort_unstable();
+                    affected.dedup();
+                    let (index, source) = self.pooled(instance, cfd.lhs());
+                    let fresh =
+                        stream::cfd_rederive(cfd, &source, &affected, groups_of(&index, &affected));
+                    merge_maintained(prev, &affected, fresh)
+                });
                 CfdViolationReport::from_per_dependency(per_dependency)
             }
         };
@@ -489,165 +529,57 @@ impl MaintainedCfdViolations {
     }
 }
 
-/// One dependency's share of a maintenance round: carry over what the delta
-/// cannot have changed, re-derive the rest.
+/// The current groups of the `affected` tuples in a pooled index, each
+/// distinct group once, singleton groups dropped.
+fn groups_of<'i>(index: &'i InternedIndex, affected: &[TupleId]) -> Vec<&'i [u32]> {
+    let store = index.store();
+    let mut keys: Vec<Vec<ValueId>> = affected
+        .iter()
+        .filter_map(|&id| store.row_of(id))
+        .map(|row| index.columns().iter().map(|c| c.id_at(row)).collect())
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys.iter()
+        .map(|key| index.rows_for_ids(key))
+        .filter(|rows| rows.len() >= 2)
+        .collect()
+}
+
+/// One dependency's maintained violations: `prev` minus every violation
+/// with an `affected` (sorted) member, merged with `fresh`, the re-derived
+/// violations of the affected tuples.
 ///
 /// A tuple is *affected* when one of its LHS/RHS cells changed or it was
-/// appended; its single-tuple violation status is a function of its own
-/// cells only, so unaffected tuples keep their prev verdicts and affected
-/// ones are re-checked.  For pairs the delta is even more local: a pair of
-/// two *unaffected* tuples cannot have changed at all — neither member's X
-/// or Y cells moved, so their shared group key, their Y disagreement and
-/// the matching patterns are exactly as before.  Every created or destroyed
-/// pair therefore involves at least one affected tuple: prev pairs with an
-/// affected member are dropped, and each affected tuple's pairs are
-/// re-derived against its *current* LHS group off the (patched) index —
-/// `O(affected · group size)` work, independent of how many pairs the rest
-/// of the group carries.
-fn maintained_cfd_violations(
-    instance: &RelationInstance,
-    cfd: &Cfd,
+/// appended.  Its single-tuple verdict depends on its own cells only, and a
+/// pair of two unaffected tuples cannot have changed at all — neither
+/// member's X or Y cells moved, so their shared group key, their Y
+/// disagreement and the matching patterns are exactly as before.  Every
+/// created or destroyed violation therefore has an affected member: the
+/// kept half and `fresh` are disjoint, and both are sorted, so a two-way
+/// merge yields the canonical order of full detection without re-sorting
+/// the whole report.
+fn merge_maintained(
     prev: &[CfdViolation],
-    changes: &[CellChange],
-    appended: &[TupleId],
-    index: &InternedIndex,
+    affected: &[TupleId],
+    fresh: Vec<CfdViolation>,
 ) -> Vec<CfdViolation> {
-    let relevant = |attr: usize| cfd.lhs().contains(&attr) || cfd.rhs().contains(&attr);
-    let mut affected: BTreeSet<TupleId> = appended.iter().copied().collect();
-    for c in changes {
-        if relevant(c.cell.attr) {
-            affected.insert(c.cell.tuple);
+    let is_affected = |id: &TupleId| affected.binary_search(id).is_ok();
+    let kept = prev.iter().filter(|v| match v {
+        CfdViolation::SingleTuple { tuple, .. } => !is_affected(tuple),
+        CfdViolation::TuplePair { first, second, .. } => {
+            !is_affected(first) && !is_affected(second)
         }
+    });
+    let mut merged: Vec<CfdViolation> = Vec::with_capacity(prev.len() + fresh.len());
+    let mut fresh = fresh.into_iter().peekable();
+    for &v in kept {
+        while let Some(f) = fresh.next_if(|f| *f < v) {
+            merged.push(f);
+        }
+        merged.push(v);
     }
-    if affected.is_empty() {
-        return prev.to_vec();
-    }
-    let affected_ids: Vec<TupleId> = affected.iter().copied().collect();
-    let is_affected = |id: &TupleId| affected_ids.binary_search(id).is_ok();
-    // `prev` is canonically sorted and filtering preserves order, so the
-    // carried-over half needs no re-sort.
-    let mut kept: Vec<CfdViolation> = Vec::with_capacity(prev.len());
-    for v in prev {
-        let keep = match v {
-            CfdViolation::SingleTuple { tuple, .. } => !is_affected(tuple),
-            CfdViolation::TuplePair { first, second, .. } => {
-                !is_affected(first) && !is_affected(second)
-            }
-        };
-        if keep {
-            kept.push(*v);
-        }
-    }
-    let mut out: Vec<CfdViolation> = Vec::new();
-    // Re-check singles of affected tuples.
-    for (pattern_idx, tp) in cfd.tableau().iter().enumerate() {
-        if tp.rhs.iter().all(|p| p.is_any()) {
-            continue;
-        }
-        for &id in &affected {
-            let Some(tuple) = instance.tuple(id) else {
-                continue;
-            };
-            if tp.lhs_matches(tuple, cfd.lhs()) && !tp.rhs_matches(tuple, cfd.rhs()) {
-                out.push(CfdViolation::SingleTuple {
-                    pattern: pattern_idx,
-                    tuple: id,
-                });
-            }
-        }
-    }
-    // Re-derive every pair involving an affected tuple from that tuple's
-    // *current* group.  The per-row RHS projection packs into a machine
-    // word off the columnar snapshot, mirroring pass 2 of
-    // `Cfd::violations_with_interned`; affected tuples sharing a group are
-    // handled in one scan of it.
-    let store = index.store();
-    let rhs_cols: Vec<Arc<Column>> = cfd
-        .rhs()
-        .iter()
-        .map(|&a| store.column(instance, a))
-        .collect();
-    let rhs_codec = KeyCodec::new(rhs_cols);
-    let mut by_group: FxHashMap<Vec<Value>, Vec<TupleId>> = FxHashMap::default();
-    for &id in &affected_ids {
-        let Some(tuple) = instance.tuple(id) else {
-            continue;
-        };
-        by_group
-            .entry(tuple.project(cfd.lhs()))
-            .or_default()
-            .push(id);
-    }
-    for (key, members) in &by_group {
-        let rows = index.rows_for_values(key);
-        if rows.len() < 2 {
-            continue;
-        }
-        let matching_patterns: Vec<usize> = cfd
-            .tableau()
-            .iter()
-            .enumerate()
-            .filter(|(_, tp)| tp.lhs.iter().zip(key.iter()).all(|(p, v)| p.matches(v)))
-            .map(|(i, _)| i)
-            .collect();
-        if matching_patterns.is_empty() {
-            continue;
-        }
-        let packed: Vec<(TupleId, ProjectionKey)> = rows
-            .iter()
-            .map(|&row| (index.tuple_id(row), rhs_codec.pack_row(row as usize)))
-            .collect();
-        for &aff in members {
-            let aff_packed = packed
-                .iter()
-                .find(|(id, _)| *id == aff)
-                .map(|(_, p)| p)
-                .expect("affected tuple is in its own group");
-            for (other, other_packed) in &packed {
-                let other = *other;
-                if other == aff || other_packed == aff_packed {
-                    continue;
-                }
-                // A pair of two affected members would surface from both
-                // perspectives — emit it from the smaller id only.
-                if is_affected(&other) && other < aff {
-                    continue;
-                }
-                let (first, second) = if aff < other {
-                    (aff, other)
-                } else {
-                    (other, aff)
-                };
-                for &p in &matching_patterns {
-                    out.push(CfdViolation::TuplePair {
-                        pattern: p,
-                        first,
-                        second,
-                    });
-                }
-            }
-        }
-    }
-    // `out` holds only the freshly derived violations; sort them and merge
-    // with the (already sorted) carried-over half.  The two halves are
-    // disjoint by construction — fresh singles cover exactly the affected
-    // tuples and every fresh pair has an affected member, both of which the
-    // kept filter excluded — so a plain two-way merge yields the canonical
-    // order full detection produces, without re-sorting the whole report.
-    out.sort_unstable();
-    let mut merged: Vec<CfdViolation> = Vec::with_capacity(kept.len() + out.len());
-    let (mut i, mut j) = (0, 0);
-    while i < kept.len() && j < out.len() {
-        if kept[i] <= out[j] {
-            merged.push(kept[i]);
-            i += 1;
-        } else {
-            merged.push(out[j]);
-            j += 1;
-        }
-    }
-    merged.extend_from_slice(&kept[i..]);
-    merged.extend_from_slice(&out[j..]);
+    merged.extend(fresh);
     merged
 }
 
@@ -711,7 +643,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect;
     use crate::ecfd::{EcfdPattern, SetPattern};
     use crate::fd::Fd;
     use crate::pattern::{cst, wild, PatternTuple};
@@ -784,27 +715,42 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn engine_report_equals_naive_report() {
-        let s = schema();
-        let d = d0(&s);
-        let cfds = paper_cfds(&s);
-        let engine = DetectionEngine::new();
-        assert_eq!(
-            engine.detect_cfd_violations(&d, &cfds),
-            detect::detect_cfd_violations(&d, &cfds)
-        );
+    fn pair(pattern: usize, first: usize, second: usize) -> CfdViolation {
+        CfdViolation::TuplePair {
+            pattern,
+            first: TupleId(first),
+            second: TupleId(second),
+        }
+    }
+
+    fn single(pattern: usize, tuple: usize) -> CfdViolation {
+        CfdViolation::SingleTuple {
+            pattern,
+            tuple: TupleId(tuple),
+        }
     }
 
     #[test]
-    fn sequential_engine_agrees_with_parallel_engine() {
+    fn engine_reports_the_paper_violations_at_any_thread_count() {
         let s = schema();
         let d = d0(&s);
         let cfds = paper_cfds(&s);
-        assert_eq!(
-            DetectionEngine::with_threads(1).detect_cfd_violations(&d, &cfds),
-            DetectionEngine::with_threads(8).detect_cfd_violations(&d, &cfds)
-        );
+        // ϕ1: t1, t2 share a UK zip but not the street; ϕ2: t1 and t2 are
+        // not in EDI; ϕ3 holds.
+        let expected = CfdViolationReport::from_per_dependency(vec![
+            vec![pair(0, 0, 1)],
+            vec![single(1, 0), single(1, 1)],
+            vec![],
+        ]);
+        for threads in [1, 8] {
+            let engine = DetectionEngine::with_threads(threads);
+            assert_eq!(engine.detect_cfd_violations(&d, &cfds), expected);
+            let source = StoreShardSource::new(&d);
+            assert_eq!(
+                engine.detect_cfd_violations_from_shards(&source, &cfds),
+                expected
+            );
+        }
     }
 
     #[test]
@@ -853,7 +799,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_incremental_equals_naive_incremental() {
+    fn engine_incremental_reports_only_pairs_of_the_added_tuple() {
         let s = schema();
         let mut d = d0(&s);
         let cfds = paper_cfds(&s);
@@ -867,97 +813,58 @@ mod tests {
                 Value::str("EH4 8LE"),
             ])
             .unwrap()];
+        // t4 joins the UK groups of ϕ1 and ϕ3 with a new street and city.
+        let expected = CfdViolationReport::from_per_dependency(vec![
+            vec![pair(0, 0, 3), pair(0, 1, 3)],
+            vec![],
+            vec![pair(0, 0, 3), pair(0, 1, 3)],
+        ]);
         let engine = DetectionEngine::new();
         assert_eq!(
             engine.detect_cfd_violations_incremental(&d, &cfds, &added),
-            detect::detect_cfd_violations_incremental(&d, &cfds, &added)
+            expected
         );
     }
 
     #[test]
-    fn maintained_report_tracks_full_detection_across_edits_and_appends() {
+    fn maintenance_patches_pooled_indexes_and_tracks_versions() {
         let s = schema();
         let mut d = d0(&s);
         let cfds = paper_cfds(&s);
         let engine = DetectionEngine::new();
         let mut maintained = engine.maintain_cfd_violations(&d, &cfds, None);
-        assert_eq!(
-            maintained.report(),
-            &detect::detect_cfd_violations(&d, &cfds)
-        );
-        // A mixed edit/append stream: every step's maintained report must
-        // equal full detection, while the pool serves patches, not rebuilds.
+        // An RHS edit fixes t1's ϕ2 violation; an LHS edit moves t3 into the
+        // UK zip group of ϕ1.
         let city = s.attr("city");
         let zip = s.attr("zip");
-        type Step = Box<dyn Fn(&mut RelationInstance)>;
-        let steps: Vec<Step> = vec![
-            // RHS edit: fixes one single-tuple violation.
-            Box::new(move |d: &mut RelationInstance| {
-                d.update_cell(
-                    dq_relation::instance::CellRef::new(TupleId(0), city),
-                    Value::str("EDI"),
-                )
-                .unwrap();
-            }),
-            // LHS edit: moves t3 into the UK zip group of ϕ1.
-            Box::new(move |d: &mut RelationInstance| {
-                d.update_cell(
-                    dq_relation::instance::CellRef::new(TupleId(2), zip),
-                    Value::str("EH4 8LE"),
-                )
-                .unwrap();
-            }),
-            // Append: a new UK tuple colliding with t1 on [CC, zip].
-            Box::new(|d: &mut RelationInstance| {
-                d.insert_values([
-                    Value::int(44),
-                    Value::int(131),
-                    Value::int(5550000),
-                    Value::str("Lauriston"),
-                    Value::str("NYC"),
-                    Value::str("EH4 8LE"),
-                ])
-                .unwrap();
-            }),
-            // No-op edit: version and report must both stand still.
-            Box::new(move |d: &mut RelationInstance| {
-                d.update_cell(
-                    dq_relation::instance::CellRef::new(TupleId(0), city),
-                    Value::str("EDI"),
-                )
-                .unwrap();
-            }),
-        ];
-        for step in steps {
-            step(&mut d);
-            maintained = engine.maintain_cfd_violations(&d, &cfds, Some(&maintained));
-            assert_eq!(
-                maintained.report(),
-                &detect::detect_cfd_violations(&d, &cfds),
-                "maintained report diverged from full detection"
-            );
-            assert_eq!(maintained.version(), d.version());
-        }
-        let stats = engine.pool_stats();
-        assert!(stats.patches > 0, "edits must patch the pooled indexes");
+        d.update_cell(
+            dq_relation::instance::CellRef::new(TupleId(0), city),
+            Value::str("EDI"),
+        )
+        .unwrap();
+        maintained = engine.maintain_cfd_violations(&d, &cfds, Some(&maintained));
+        d.update_cell(
+            dq_relation::instance::CellRef::new(TupleId(2), zip),
+            Value::str("EH4 8LE"),
+        )
+        .unwrap();
+        maintained = engine.maintain_cfd_violations(&d, &cfds, Some(&maintained));
+        assert_eq!(maintained.version(), d.version());
+        // t3 has CC 1, so the (44, _) pattern of ϕ1 still ignores it; t1's
+        // city now disagrees with t2's in the [CC, AC] group of ϕ3.
+        assert_eq!(
+            maintained.report(),
+            &CfdViolationReport::from_per_dependency(vec![
+                vec![pair(0, 0, 1)],
+                vec![single(1, 1)],
+                vec![pair(0, 0, 1)],
+            ])
+        );
+        assert!(engine.pool_stats().patches > 0, "edits patch the pool");
     }
 
     #[test]
-    fn maintained_report_rebuilds_after_a_removal() {
-        let s = schema();
-        let mut d = d0(&s);
-        let cfds = paper_cfds(&s);
-        let engine = DetectionEngine::new();
-        let maintained = engine.maintain_cfd_violations(&d, &cfds, None);
-        d.remove(TupleId(1));
-        // The journal cannot cover a removal: maintenance falls back to full
-        // detection and still reports correctly.
-        let after = engine.maintain_cfd_violations(&d, &cfds, Some(&maintained));
-        assert_eq!(after.report(), &detect::detect_cfd_violations(&d, &cfds));
-    }
-
-    #[test]
-    fn engine_ecfd_report_equals_naive() {
+    fn engine_reports_ecfd_pairs_and_set_violations() {
         let s = Arc::new(RelationSchema::new(
             "nycust",
             [("CT", Domain::Text), ("AC", Domain::Int)],
@@ -993,20 +900,36 @@ mod tests {
             )
             .unwrap(),
         ];
-        let engine = DetectionEngine::new();
-        let from_engine = engine.detect_ecfd_violations(&inst, &ecfds);
-        let naive = detect::detect_ecfd_violations(&inst, &ecfds);
-        assert_eq!(from_engine, naive);
-        assert!(!from_engine.is_clean());
+        // Albany carries two area codes; NYC's 999 is outside the set.
+        let expected = EcfdViolationReport::from_per_dependency(vec![
+            vec![EcfdViolation::TuplePair {
+                pattern: 0,
+                first: TupleId(2),
+                second: TupleId(3),
+            }],
+            vec![EcfdViolation::SingleTuple {
+                pattern: 0,
+                tuple: TupleId(1),
+            }],
+        ]);
+        for threads in [1, 2] {
+            let engine = DetectionEngine::with_threads(threads);
+            assert_eq!(engine.detect_ecfd_violations(&inst, &ecfds), expected);
+            let source = StoreShardSource::new(&inst);
+            assert_eq!(
+                engine.detect_ecfd_violations_from_shards(&source, &ecfds),
+                expected
+            );
+        }
     }
 
     #[test]
-    fn engine_denial_report_equals_naive() {
+    fn engine_reports_fd_shaped_and_single_variable_denials() {
         let s = schema();
         let d = d0(&s);
         let fd = Fd::new(&s, &["zip"], &["street"]);
         let mut constraints = DenialConstraint::from_fd(&fd);
-        // A non-FD-shaped constraint exercises the naive fallback arm.
+        // A single-variable constraint needs no index.
         constraints.push(DenialConstraint::new(
             "customer",
             1,
@@ -1016,11 +939,14 @@ mod tests {
                 crate::denial::DcTerm::val(40i64),
             )],
         ));
-        let engine = DetectionEngine::new();
-        assert_eq!(
-            engine.detect_denial_violations(&d, &constraints),
-            detect::detect_denial_violations(&d, &constraints)
-        );
+        let expected = vec![
+            vec![vec![TupleId(0), TupleId(1)]],
+            vec![vec![TupleId(0)], vec![TupleId(1)]],
+        ];
+        for threads in [1, 2] {
+            let engine = DetectionEngine::with_threads(threads);
+            assert_eq!(engine.detect_denial_violations(&d, &constraints), expected);
+        }
     }
 
     #[test]

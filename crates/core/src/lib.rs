@@ -11,10 +11,11 @@
 //! * [`cind`] — conditional inclusion dependencies (Section 2.2);
 //! * [`ecfd`] — CFDs with disjunction and inequality (Section 2.3);
 //! * [`denial`] — denial constraints (Sections 2.3, 5);
-//! * [`detect`] — violation detection, batch and incremental;
+//! * [`detect`] — violation reports and the unpooled batch and incremental
+//!   detectors;
 //! * [`engine`] — shared-index, parallel detection over dependency sets;
-//! * [`stream`] — shard-cursor detection over in-RAM or memory-mapped
-//!   columnar shards, memory bounded by dictionaries plus one shard;
+//! * [`stream`] — the one detection kernel per class (CFD, eCFD, denial)
+//!   every entry point runs, over in-RAM or memory-mapped columnar shards;
 //! * [`consistency`] — consistency analysis (Theorem 4.1/4.3, Example 4.1);
 //! * [`implication`] — implication analysis and minimal covers
 //!   (Theorem 4.2/4.3);

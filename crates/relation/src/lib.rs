@@ -19,8 +19,9 @@
 //! * [`instance::RelationInstance`] / [`instance::Database`] — tuple stores
 //!   with stable [`instance::TupleId`]s, so violations and repairs can refer
 //!   to cells `(tuple, attribute)`;
-//! * [`index::HashIndex`] — hash partitioning of a relation on an attribute
-//!   list, the workhorse of CFD/CIND violation detection;
+//! * [`index::HashIndex`] — value-keyed hash partitioning of a relation on
+//!   an attribute list, the reference the interned indexes of [`store`] are
+//!   checked against;
 //! * [`algebra`] — selection / projection / Cartesian product / union views
 //!   (the SPCU fragment used by dependency propagation, Theorem 4.7) with
 //!   column provenance;

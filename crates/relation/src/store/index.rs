@@ -653,6 +653,13 @@ impl InternedIndex {
         self.groups_with_min(2)
     }
 
+    /// The row slices of [`multi_groups`](Self::multi_groups), in CSR
+    /// order, with no key decoded at all: every row of a group carries the
+    /// group's key, so consumers read it off any member row.
+    pub fn multi_group_rows(&self) -> impl Iterator<Item = &[u32]> {
+        self.group_rows_iter().filter(|rows| rows.len() >= 2)
+    }
+
     /// Approximate heap bytes of the index itself (map + offsets +
     /// postings).  The backing columns are shared across indexes and
     /// reported separately by [`ColumnarStore::stats`].

@@ -21,9 +21,8 @@
 //!    dependency parallelizes within one index, not just across
 //!    dependencies.
 //!
-//! [`crate::index::IndexPool`] memoizes interned indexes per
-//! `(instance identity, version, attribute list)` exactly as it does the
-//! value-keyed [`crate::index::HashIndex`]es.
+//! [`crate::index::IndexPool`] memoizes interned indexes and distinct sets
+//! per `(instance identity, version, attribute list)`.
 
 pub mod columnar;
 pub mod distinct;

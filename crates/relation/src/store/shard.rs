@@ -61,7 +61,7 @@ pub trait ShardSource: Sync {
 }
 
 /// [`ShardSource`] over an in-RAM columnar snapshot of a live instance —
-/// the reference backing the mapped path is property-checked against.
+/// the backing the detection kernels read in RAM, pooled or not.
 pub struct StoreShardSource<'a> {
     instance: &'a RelationInstance,
     store: Arc<ColumnarStore>,

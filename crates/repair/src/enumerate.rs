@@ -25,8 +25,7 @@ pub fn enumerate_repairs(
 /// [`enumerate_repairs`] with the per-candidate consistency checks routed
 /// through a shared [`DetectionEngine`]: FD- and key-shaped constraints are
 /// evaluated over pooled interned partitions on their equality attributes
-/// (same canonical violation order as the naive scan) instead of the
-/// quadratic pair loop; other shapes fall back to the naive evaluator.
+/// instead of the quadratic pair loop.
 pub fn enumerate_repairs_with_engine(
     instance: &RelationInstance,
     constraints: &[DenialConstraint],
@@ -39,16 +38,8 @@ pub fn enumerate_repairs_with_engine(
         // Find the first outstanding conflict.
         let mut first_conflict: Option<Vec<TupleId>> = None;
         for c in constraints {
-            let v = match c.pair_partition_attrs() {
-                Some(attrs) => {
-                    let index = engine
-                        .pool()
-                        .interned_for(&current, &attrs, engine.threads());
-                    c.violations_with_interned_index(&current, &index)
-                }
-                None => c.violations(&current),
-            };
-            if let Some(edge) = v.into_iter().next() {
+            let mut report = engine.detect_denial_violations(&current, std::slice::from_ref(c));
+            if let Some(edge) = report.swap_remove(0).into_iter().next() {
                 first_conflict = Some(edge);
                 break;
             }

@@ -105,13 +105,11 @@ pub fn repair_cfd_violations_with_engine(
             let PatternValue::Const(required) = &tp.rhs[0] else {
                 continue;
             };
-            let index = engine
-                .pool()
-                .interned_for(&repaired, cfd.lhs(), engine.threads());
-            let violating: Vec<TupleId> = cfd
-                .violations_with_interned(&repaired, &index)
-                .into_iter()
-                .filter_map(|v| match v {
+            let violating: Vec<TupleId> = engine
+                .detect_cfd_violations(&repaired, std::slice::from_ref(cfd))
+                .of(0)
+                .iter()
+                .filter_map(|v| match *v {
                     CfdViolation::SingleTuple { tuple, .. } => Some(tuple),
                     CfdViolation::TuplePair { .. } => None,
                 })
@@ -211,7 +209,7 @@ pub fn repair_cfd_violations_with_engine(
 }
 
 /// The legacy implementation: one fresh `Vec<Value>`-keyed [`HashIndex`]
-/// per CFD per round and naive detection for every consistency check.
+/// per CFD per round and unpooled detection for every consistency check.
 /// Kept as the reference the engine-carried path is property-tested
 /// against (`tests/discovery_equivalence.rs`) and benchmarked over.
 pub fn repair_cfd_violations_naive(

@@ -213,7 +213,7 @@ proptest! {
         let cfds = paper_cfds();
         let engine = DetectionEngine::new();
         let before = engine.detect_cfd_violations(&instance, &cfds);
-        prop_assert_eq!(&before, &detect_cfd_violations(&instance, &cfds));
+        prop_assert_eq!(&before, &dq_oracle::detect_cfd_violations(&instance, &cfds));
         // Append copies of existing tuples (no new dictionary entries, so
         // the u64 radix codecs stay extendable) plus the growth is real.
         let pool: Vec<_> = instance.iter().map(|(_, t)| t.clone()).collect();
@@ -222,7 +222,7 @@ proptest! {
             instance.insert(donor).expect("same schema");
         }
         let after = engine.detect_cfd_violations(&instance, &cfds);
-        prop_assert_eq!(&after, &detect_cfd_violations(&instance, &cfds));
+        prop_assert_eq!(&after, &dq_oracle::detect_cfd_violations(&instance, &cfds));
         prop_assert!(
             engine.pool_stats().appends > 0,
             "append-only growth must take the extension fast path"
@@ -230,7 +230,7 @@ proptest! {
     }
 
     /// The engine's incrementally-maintained CFD violation report tracks
-    /// full detection exactly while the instance absorbs random in-domain
+    /// the value-level oracle exactly while the instance absorbs random in-domain
     /// cell edits, and the pooled indexes absorb real writes as *patches*
     /// (moved rows), never full rebuilds.
     #[test]
@@ -246,7 +246,7 @@ proptest! {
         let cfds = paper_cfds();
         let engine = DetectionEngine::new();
         let mut maintained = engine.maintain_cfd_violations(&instance, &cfds, None);
-        prop_assert_eq!(maintained.report(), &detect_cfd_violations(&instance, &cfds));
+        prop_assert_eq!(maintained.report(), &dq_oracle::detect_cfd_violations(&instance, &cfds));
         let ids = instance.ids();
         let arity = instance.schema().arity();
         let mut changed_any = false;
@@ -261,7 +261,7 @@ proptest! {
                 .update_cell(CellRef::new(target, attr), value)
                 .expect("donor values are in-domain");
             maintained = engine.maintain_cfd_violations(&instance, &cfds, Some(&maintained));
-            prop_assert_eq!(maintained.report(), &detect_cfd_violations(&instance, &cfds));
+            prop_assert_eq!(maintained.report(), &dq_oracle::detect_cfd_violations(&instance, &cfds));
         }
         if changed_any {
             prop_assert!(

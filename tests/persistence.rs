@@ -309,8 +309,9 @@ fn detection_denials() -> Vec<DenialConstraint> {
     ]
 }
 
-/// CFD and denial detection over the mmap-backed shard source must be
-/// byte-identical to the pooled in-RAM engine, at every thread count.
+/// CFD and denial detection over the mmap-backed shard source and the
+/// in-RAM one must be byte-identical to the value-level oracle, at every
+/// thread count.
 #[test]
 fn mapped_detection_matches_in_ram_engine() {
     let dir = tmp_dir("detect");
@@ -324,9 +325,8 @@ fn mapped_detection_matches_in_ram_engine() {
     let mapped = persist::open_mmap(&dir).unwrap();
     assert!(mapped.len() > TEST_SHARD_ROWS, "must span several shards");
 
-    let reference_engine = DetectionEngine::with_threads(1);
-    let expected_cfd = reference_engine.detect_cfd_violations(&instance, &cfds);
-    let expected_dc = reference_engine.detect_denial_violations(&instance, &denials);
+    let expected_cfd = dq_oracle::detect_cfd_violations(&instance, &cfds);
+    let expected_dc = dq_oracle::detect_denial_violations(&instance, &denials);
     assert!(
         expected_cfd.total() > 0,
         "fixture should produce violations"

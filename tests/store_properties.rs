@@ -333,7 +333,7 @@ proptest! {
         let engine = DetectionEngine::new();
         prop_assert_eq!(
             engine.detect_cfd_violations(&canonical, std::slice::from_ref(&cfd)),
-            detect_cfd_violations(&plain, std::slice::from_ref(&cfd))
+            dq_oracle::detect_cfd_violations(&plain, std::slice::from_ref(&cfd))
         );
     }
 }
