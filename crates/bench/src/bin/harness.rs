@@ -319,23 +319,25 @@ fn detection_bench(smoke: bool, profile: bool) {
 
 /// Naive vs. interned dependency discovery on the scaled customer workload,
 /// written to `BENCH_discovery.json` (skipped in `--smoke` mode, which runs
-/// the same comparison CI-sized and only asserts output identity).
+/// the same comparison CI-sized and only asserts output identity).  The
+/// naive column is the `dq-oracle` reference miner.
 ///
 /// Two algorithms per size:
-/// * `fd_discovery` — level-wise exact FD discovery; the naive path builds
-///   one `Vec<Value>`-keyed stripped partition per candidate attribute set,
-///   the interned path derives single-attribute partitions from pooled CSR
-///   postings and refines by id-based partition products;
+/// * `fd_discovery` — level-wise exact FD discovery; the oracle groups
+///   `Vec<Value>` projections once per candidate LHS set, the interned path
+///   derives single-attribute partitions from pooled CSR postings and
+///   refines by id-based partition products;
 /// * `cfd_discovery` — full CFD mining (exact FDs, `g3` conditioning,
-///   tableau and constant-pattern mining); the naive path re-groups tuples
-///   per condition set, the interned path reads every grouping off pooled
-///   interned indexes (10k/100k only: the naive miner's per-group
-///   minimality rescans are quadratic-ish and intractable at 1M).
+///   tableau and constant-pattern mining); the oracle re-groups tuples per
+///   condition set, the interned path reads every grouping off pooled
+///   interned indexes (10k/100k only: the oracle's per-group minimality
+///   rescans are quadratic-ish and intractable at 1M).
 ///
 /// The interned sweep is measured **per thread count** — sequential and
 /// fanned out across the machine — each run cold on fresh clones (snapshot,
 /// dictionaries and every index build inside the timer), with every run's
-/// output asserted identical to the sequential naive sweep.  FD and CFD
+/// output asserted identical to the oracle's.  The oracle counts no
+/// partitions, so FD rows carry `"partitions_naive": null`.  FD and CFD
 /// rows also record the per-lattice-level wall clock (`levels_ms`), where
 /// the per-level candidate fan-out pays — for CFDs summed over the exact
 /// sweep, the `g3` sweep and constant-pattern mining at the same LHS
@@ -408,7 +410,7 @@ fn discovery_bench(smoke: bool, profile: bool) {
                             naive_ms: f64,
                             interned_ms: f64,
                             found: usize,
-                            naive_partitions: usize,
+                            naive_partitions: Option<usize>,
                             interned_partitions: usize,
                             levels_ms: Option<&[f64]>,
                             profile_json: String| {
@@ -429,6 +431,8 @@ fn discovery_bench(smoke: bool, profile: bool) {
                     )
                 })
                 .unwrap_or_default();
+            let naive_partitions =
+                naive_partitions.map_or_else(|| "null".to_string(), |n| n.to_string());
             rows.push(format!(
                 "    {{\"tuples\": {size}, \"algo\": \"{algo}\", \"threads\": {threads}, \
                  \"error_rate\": {error_rate}, \
@@ -441,15 +445,20 @@ fn discovery_bench(smoke: bool, profile: bool) {
         };
 
         // ---- FD discovery ----
-        let fd_cfg = |use_interned, threads| FdDiscoveryConfig {
+        let fd_cfg = |threads| FdDiscoveryConfig {
             max_lhs: 2,
             max_g3: 0.0,
             exclude: exclude.clone(),
-            use_interned,
             threads,
         };
-        let (naive_ms, naive_fds) =
-            timed_median(reps, || discover_fds(instance, &fd_cfg(false, 1)));
+        let oracle_fd_cfg = dq_oracle::discovery::FdSearch {
+            max_lhs: 2,
+            max_g3: 0.0,
+            exclude: exclude.clone(),
+        };
+        let (naive_ms, naive_fds) = timed_median(reps, || {
+            dq_oracle::discovery::discover_fds(instance, &oracle_fd_cfg)
+        });
         for &threads in &thread_counts {
             // Cold interned runs: clones carry fresh identities and empty
             // columnar caches, so every rep pays the snapshot, the
@@ -460,7 +469,7 @@ fn discovery_bench(smoke: bool, profile: bool) {
             let (interned_ms, interned_fds) = timed_median(reps, || {
                 discover_fds(
                     cold_iter.next().expect("one fresh instance per rep"),
-                    &fd_cfg(true, threads),
+                    &fd_cfg(threads),
                 )
             });
             drop(cold);
@@ -483,7 +492,7 @@ fn discovery_bench(smoke: bool, profile: bool) {
                 naive_ms,
                 interned_ms,
                 naive_fds.fds.len(),
-                naive_fds.partitions_built,
+                None,
                 interned_fds.partitions_built,
                 Some(&interned_fds.level_ms),
                 profile_json,
@@ -492,23 +501,32 @@ fn discovery_bench(smoke: bool, profile: bool) {
 
         // ---- CFD discovery (naive miner intractable at 1M) ----
         if size <= 100_000 {
-            let cfd_cfg = |use_interned, threads| CfdDiscoveryConfig {
+            let cfd_cfg = |threads| CfdDiscoveryConfig {
                 min_support: 4,
                 max_lhs: 2,
                 exclude: exclude.clone(),
-                use_interned,
                 threads,
                 ..CfdDiscoveryConfig::default()
             };
-            let (naive_ms, naive_cfds) =
-                timed_median(reps, || discover_cfds(instance, &cfd_cfg(false, 1)));
+            let defaults = cfd_cfg(1);
+            let oracle_cfd_cfg = dq_oracle::discovery::CfdSearch {
+                min_support: defaults.min_support,
+                max_lhs: defaults.max_lhs,
+                max_condition_attrs: defaults.max_condition_attrs,
+                max_candidate_g3: defaults.max_candidate_g3,
+                max_tableau: defaults.max_tableau,
+                exclude: defaults.exclude,
+            };
+            let (naive_ms, naive_cfds) = timed_median(reps, || {
+                dq_oracle::discovery::discover_cfds(instance, &oracle_cfd_cfg)
+            });
             for &threads in &thread_counts {
                 let cold: Vec<_> = (0..reps).map(|_| instance.clone()).collect();
                 let mut cold_iter = cold.iter();
                 let (interned_ms, interned_cfds) = timed_median(reps, || {
                     discover_cfds(
                         cold_iter.next().expect("one fresh instance per rep"),
-                        &cfd_cfg(true, threads),
+                        &cfd_cfg(threads),
                     )
                 });
                 drop(cold);
@@ -530,8 +548,8 @@ fn discovery_bench(smoke: bool, profile: bool) {
                     threads,
                     naive_ms,
                     interned_ms,
-                    naive_cfds.len(),
-                    naive_cfds.candidates_checked,
+                    naive_cfds.variable_cfds.len() + naive_cfds.constant_cfds.len(),
+                    Some(naive_cfds.candidates_checked),
                     interned_cfds.candidates_checked,
                     Some(&interned_cfds.level_ms),
                     profile_json,
@@ -541,7 +559,7 @@ fn discovery_bench(smoke: bool, profile: bool) {
     }
     if smoke {
         println!(
-            "\nsmoke mode: outputs identical on both paths at threads {thread_counts:?}, artifact not written"
+            "\nsmoke mode: outputs identical to the oracle at threads {thread_counts:?}, artifact not written"
         );
         return;
     }
@@ -558,25 +576,27 @@ fn discovery_bench(smoke: bool, profile: bool) {
 /// Naive vs. interned IND discovery and CIND condition mining on the
 /// order/book/CD workload, written to `BENCH_ind.json` (skipped in
 /// `--smoke` mode, which runs the same comparison CI-sized and only asserts
-/// output identity).
+/// output identity).  The naive column is the `dq-oracle` reference miner.
 ///
 /// Two algorithms per size:
 /// * `ind_discovery` — unary + binary IND discovery across the three
-///   relations; the naive path rebuilds a `BTreeSet<Value>` /
-///   `HashSet<Vec<Value>>` projection per candidate, the interned path
-///   probes pooled distinct-projection sets with dictionary-translated ids
-///   and fans candidate relation pairs out across the thread pool;
+///   relations; the oracle rebuilds a `HashSet<Vec<Value>>` projection per
+///   candidate, the interned path probes pooled distinct-projection sets
+///   with dictionary-translated ids and fans candidate relation pairs out
+///   across the thread pool;
 /// * `cind_mining` — condition mining for the embedded
-///   `order(title, price) ⊆ book(title, price)` IND; the naive path
-///   re-scans the instance per condition value, the interned path computes
-///   one per-row inclusion verdict and reads candidate-value groups off CSR
+///   `order(title, price) ⊆ book(title, price)` IND; the oracle re-scans
+///   the instance per condition value, the interned path computes one
+///   per-row inclusion verdict and reads candidate-value groups off CSR
 ///   postings.
 ///
 /// Interned runs are measured cold on fresh clones (snapshot, dictionaries,
-/// every distinct set and index build inside the timer), and both paths'
-/// outputs are asserted identical.
+/// every distinct set and index build inside the timer), at threads 1 and
+/// at a machine-sized fan-out of at least 2, and every run's output is
+/// asserted identical to the oracle's.
 fn ind_bench(smoke: bool, profile: bool) {
     use dq_discovery::prelude::*;
+    use dq_relation::IndexPool;
 
     header("IND bench — naive vs. interned distinct-projection probing");
     let sizes: &[usize] = if smoke {
@@ -585,16 +605,26 @@ fn ind_bench(smoke: bool, profile: bool) {
         &[10_000, 100_000, 1_000_000]
     };
     let violation_rate = 0.05;
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    // The timed interned runs fan out across at least two workers; one
+    // untimed sequential run per algorithm checks threads = 1 as well.
+    let fan_out = threads.max(2);
+    let config = IndDiscoveryConfig::default();
+    let oracle_config = dq_oracle::discovery::IndSearch {
+        max_arity: config.max_arity,
+        min_distinct: config.min_distinct,
+        min_support: config.min_support,
+        max_condition_values: config.max_condition_values,
+        ignore_nulls: config.ignore_nulls,
+    };
     let mut rows = Vec::new();
     println!("  orders   algo            naive         interned     speedup   found");
     for &size in sizes {
         let workload = order_workload(size, violation_rate);
         let db = &workload.db;
         let reps = if size > 100_000 { 1 } else { 3 };
-        let config = |use_interned| IndDiscoveryConfig {
-            use_interned,
-            ..IndDiscoveryConfig::default()
-        };
 
         let mut push_row = |algo: &str, naive_ms: f64, interned_ms: f64, found: usize| {
             let speedup = naive_ms / interned_ms;
@@ -611,8 +641,9 @@ fn ind_bench(smoke: bool, profile: bool) {
         };
 
         // ---- IND discovery ----
-        let (naive_ms, naive_inds) =
-            timed_median(reps, || discover_inds(db, &config(false)).unwrap());
+        let (naive_ms, naive_inds) = timed_median(reps, || {
+            dq_oracle::discovery::discover_inds(db, &oracle_config).unwrap()
+        });
         // Cold interned runs: clones carry fresh instance identities and
         // empty columnar caches, so every rep pays the snapshots, the
         // dictionary encodings and all distinct-set builds inside the
@@ -620,21 +651,23 @@ fn ind_bench(smoke: bool, profile: bool) {
         let cold: Vec<_> = (0..reps).map(|_| db.clone()).collect();
         let mut cold_iter = cold.iter();
         let (interned_ms, interned_inds) = timed_median(reps, || {
-            discover_inds(
+            discover_inds_with_pool(
                 cold_iter.next().expect("one fresh database per rep"),
-                &config(true),
+                &config,
+                &IndexPool::new(),
+                fan_out,
             )
             .unwrap()
         });
         drop(cold);
-        assert_eq!(
-            naive_inds.inds, interned_inds.inds,
-            "interned IND discovery must report identical dependencies"
-        );
-        assert_eq!(
-            naive_inds.candidates_checked,
-            interned_inds.candidates_checked
-        );
+        let sequential = discover_inds_with_pool(db, &config, &IndexPool::new(), 1).unwrap();
+        for (found, threads) in [(&interned_inds, fan_out), (&sequential, 1)] {
+            assert_eq!(
+                naive_inds.inds, found.inds,
+                "interned IND discovery must report identical dependencies (threads {threads})"
+            );
+            assert_eq!(naive_inds.candidates_checked, found.candidates_checked);
+        }
         push_row(
             "ind_discovery",
             naive_ms,
@@ -678,19 +711,34 @@ fn ind_bench(smoke: bool, profile: bool) {
             vec![book.attr("title"), book.attr("price")],
         );
         let (naive_ms, naive_cinds) = timed_median(reps, || {
-            discover_cind_conditions(&mining_db, &embedded, &config(false)).unwrap()
+            dq_oracle::discovery::discover_cind_conditions(&mining_db, &embedded, &oracle_config)
+                .unwrap()
         });
         let cold: Vec<_> = (0..reps).map(|_| mining_db.clone()).collect();
         let mut cold_iter = cold.iter();
         let (interned_ms, interned_cinds) = timed_median(reps, || {
-            discover_cind_conditions(
+            discover_cind_conditions_with_pool(
                 cold_iter.next().expect("one fresh database per rep"),
                 &embedded,
-                &config(true),
+                &config,
+                &IndexPool::new(),
+                fan_out,
             )
             .unwrap()
         });
         drop(cold);
+        let sequential = discover_cind_conditions_with_pool(
+            &mining_db,
+            &embedded,
+            &config,
+            &IndexPool::new(),
+            1,
+        )
+        .unwrap();
+        assert_eq!(
+            naive_cinds, sequential,
+            "sequential CIND mining must report identical conditions"
+        );
         assert!(
             naive_cinds.iter().any(|c| c
                 .tableau()
@@ -705,12 +753,11 @@ fn ind_bench(smoke: bool, profile: bool) {
         push_row("cind_mining", naive_ms, interned_ms, naive_cinds.len());
     }
     if smoke {
-        println!("\nsmoke mode: outputs identical on both paths, artifact not written");
+        println!(
+            "\nsmoke mode: outputs identical to the oracle at threads [1, {fan_out}], artifact not written"
+        );
         return;
     }
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let json = format!(
         "{{\n  \"experiment\": \"sec22_ind_discovery_naive_vs_interned\",\n  \
          \"workload\": \"dq_gen::orders (order/book/CD), violation_rate {violation_rate}, seed 42\",\n  \
@@ -2024,7 +2071,6 @@ fn profile_mode() {
             max_lhs: 2,
             max_g3: 0.0,
             exclude: exclude.clone(),
-            use_interned: true,
             threads: 2,
         },
     );
@@ -2034,20 +2080,13 @@ fn profile_mode() {
             min_support: 4,
             max_lhs: 2,
             exclude,
-            use_interned: true,
             threads: 2,
             ..CfdDiscoveryConfig::default()
         },
     );
     let orders = order_workload(2_000, 0.05);
-    let inds = discover_inds(
-        &orders.db,
-        &IndDiscoveryConfig {
-            use_interned: true,
-            ..IndDiscoveryConfig::default()
-        },
-    )
-    .expect("schemas are compatible");
+    let inds =
+        discover_inds(&orders.db, &IndDiscoveryConfig::default()).expect("schemas are compatible");
 
     // Repair: a smaller dirty instance through the engine-backed fixpoint,
     // so per-round cost histograms have several rounds to bucket.

@@ -12,7 +12,7 @@
 
 use crate::ind::Ind;
 use dq_relation::{
-    Database, DqError, DqResult, HashIndex, InternedIndex, RelationSchema, TupleId, Value, ValueId,
+    Database, DqError, DqResult, InternedIndex, RelationSchema, TupleId, Value, ValueId,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -257,36 +257,14 @@ impl Cind {
 
     /// LHS tuples violating the CIND: tuples matching some pattern's `Xp`
     /// constants with no RHS tuple matching both the correspondence and the
-    /// pattern's `Yp` constants.
+    /// pattern's `Yp` constants — pattern by pattern, in ascending tuple-id
+    /// order.  Runs the CIND kernel over an unpooled interned index of the
+    /// RHS relation; [`DetectionEngine`](crate::engine::DetectionEngine)
+    /// runs the same kernel over pooled indexes.
     pub fn violations(&self, db: &Database) -> DqResult<Vec<CindViolation>> {
-        let lhs = db.require_relation(self.lhs_schema.name())?;
         let rhs = db.require_relation(self.rhs_schema.name())?;
-        // Index the RHS relation on Y ++ Yp so each probe is a single lookup.
-        let mut probe_attrs = self.rhs_attrs.clone();
-        probe_attrs.extend_from_slice(&self.rhs_pattern_attrs);
-        let index = HashIndex::build(rhs, &probe_attrs);
-        let mut out = Vec::new();
-        for (pattern_idx, tp) in self.tableau.iter().enumerate() {
-            for (id, tuple) in lhs.iter() {
-                let applies = self
-                    .lhs_pattern_attrs
-                    .iter()
-                    .zip(&tp.lhs)
-                    .all(|(&a, v)| tuple.get(a) == v);
-                if !applies {
-                    continue;
-                }
-                let mut key = tuple.project(&self.lhs_attrs);
-                key.extend(tp.rhs.iter().cloned());
-                if !index.contains_key(&key) {
-                    out.push(CindViolation {
-                        pattern: pattern_idx,
-                        tuple: id,
-                    });
-                }
-            }
-        }
-        Ok(out)
+        let index = InternedIndex::build(rhs, &rhs.columnar(), &self.rhs_probe_attrs(), 1);
+        self.violations_with_interned_index(db, &index)
     }
 
     /// Does the database satisfy this CIND?
@@ -303,13 +281,12 @@ impl Cind {
         attrs
     }
 
-    /// Violations computed against a caller-supplied *interned* index of the
-    /// RHS relation on exactly [`rhs_probe_attrs`](Self::rhs_probe_attrs).
+    /// The CIND kernel: violations against an interned index of the RHS
+    /// relation on exactly [`rhs_probe_attrs`](Self::rhs_probe_attrs).
     /// Each LHS tuple's probe translates through the index's per-column
     /// dictionaries — a value absent from a dictionary cannot match any RHS
-    /// tuple, short-circuiting the probe.  Output (order included) equals
-    /// [`violations`](Self::violations).
-    pub fn violations_with_interned_index(
+    /// tuple, short-circuiting the probe.
+    pub(crate) fn violations_with_interned_index(
         &self,
         db: &Database,
         index: &InternedIndex,
@@ -632,21 +609,11 @@ mod tests {
     }
 
     #[test]
-    fn interned_probe_equals_value_probe() {
+    fn violations_list_the_hand_derived_dangling_tuples() {
         let db = d1();
-        for cind in [cind1(), cind2(), cind3()] {
-            let rhs = db.require_relation(cind.rhs_schema().name()).unwrap();
-            let store = rhs.columnar();
-            let probe = cind.rhs_probe_attrs();
-            let index = InternedIndex::build(rhs, &store, &probe, 1);
-            assert_eq!(
-                cind.violations_with_interned_index(&db, &index).unwrap(),
-                cind.violations(&db).unwrap(),
-                "{cind}"
-            );
-        }
-        // A CIND whose correspondence values are absent from the RHS:
-        // every applicable tuple dangles, interned and naive alike.
+        // order(asin; type) ⊆ book(isbn) for both order types: no asin is
+        // an isbn, so the CD order (t0) dangles under the first pattern and
+        // the book order (t1) under the second — pattern by pattern.
         let absent = Cind::new(
             &order_schema(),
             &["asin"],
@@ -654,16 +621,26 @@ mod tests {
             &book_schema(),
             &["isbn"],
             &[],
-            vec![CindPattern::new(vec![Value::str("CD")], vec![])],
+            vec![
+                CindPattern::new(vec![Value::str("CD")], vec![]),
+                CindPattern::new(vec![Value::str("book")], vec![]),
+            ],
         )
         .unwrap();
-        let rhs = db.require_relation("book").unwrap();
-        let index = InternedIndex::build(rhs, &rhs.columnar(), &absent.rhs_probe_attrs(), 1);
-        assert_eq!(
-            absent.violations_with_interned_index(&db, &index).unwrap(),
-            absent.violations(&db).unwrap()
-        );
-        assert_eq!(absent.violations(&db).unwrap().len(), 1);
+        let dangling = |pattern, tuple| CindViolation {
+            pattern,
+            tuple: TupleId(tuple),
+        };
+        for (cind, expected) in [
+            (cind1(), vec![]),
+            (cind2(), vec![]),
+            // `audio` is absent from book.format's dictionary, so no RHS
+            // tuple can match the pattern and the audio-book CD t9 dangles.
+            (cind3(), vec![dangling(0, 1)]),
+            (absent, vec![dangling(0, 0), dangling(1, 1)]),
+        ] {
+            assert_eq!(cind.violations(&db).unwrap(), expected, "{cind}");
+        }
     }
 
     #[test]

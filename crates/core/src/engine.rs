@@ -962,7 +962,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_cind_report_equals_naive() {
+    fn engine_reports_dangling_cind_tuples_from_pooled_indexes() {
         use crate::cind::{Cind, CindPattern};
         let order = Arc::new(RelationSchema::new(
             "order",
@@ -992,17 +992,26 @@ mod tests {
             vec![CindPattern::new(vec![Value::str("book")], vec![])],
         )
         .unwrap()];
+        // Only the Snow White book order has no book counterpart.
+        let expected =
+            CindViolationReport::from_per_dependency(vec![vec![crate::cind::CindViolation {
+                pattern: 0,
+                tuple: TupleId(1),
+            }]]);
+        for threads in [1, 2] {
+            let engine = DetectionEngine::with_threads(threads);
+            assert_eq!(
+                engine.detect_cind_violations(&db, &cinds).unwrap(),
+                expected
+            );
+            // The probe index is pooled: a second run rebuilds nothing.
+            let misses = engine.pool_stats().misses;
+            let again = engine.detect_cind_violations(&db, &cinds).unwrap();
+            assert_eq!(again, expected);
+            assert_eq!(engine.pool_stats().misses, misses, "warm CIND run");
+        }
+        // A CIND over a missing relation is an error.
         let engine = DetectionEngine::new();
-        let from_engine = engine.detect_cind_violations(&db, &cinds).unwrap();
-        let naive = crate::detect::detect_cind_violations(&db, &cinds).unwrap();
-        assert_eq!(from_engine, naive);
-        assert_eq!(from_engine.total(), 1, "Snow White dangles");
-        // The probe index is pooled: a second run rebuilds nothing.
-        let misses = engine.pool_stats().misses;
-        let again = engine.detect_cind_violations(&db, &cinds).unwrap();
-        assert_eq!(again, naive);
-        assert_eq!(engine.pool_stats().misses, misses, "warm CIND run");
-        // A CIND over a missing relation errors like the naive path.
         let ghost_schema = Arc::new(RelationSchema::new("ghost", [("g", Domain::Text)]));
         let ghost = Cind::new(
             &order,
@@ -1018,7 +1027,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_ind_report_equals_naive() {
+    fn engine_reports_dangling_ind_tuples_under_both_null_semantics() {
         use crate::ind::Ind;
         let order = Arc::new(RelationSchema::new(
             "order",
@@ -1040,29 +1049,34 @@ mod tests {
             Ind::from_indices("order", vec![0], "book", vec![0]),
             Ind::from_indices("book", vec![0], "order", vec![0]),
         ];
-        let engine = DetectionEngine::new();
-        for ignore_nulls in [false, true] {
-            let from_engine = engine
-                .detect_ind_violations(&db, &inds, ignore_nulls)
-                .unwrap();
-            let naive: Vec<Vec<TupleId>> = inds
-                .iter()
-                .map(|ind| ind.violations_with(&db, ignore_nulls).unwrap())
-                .collect();
-            assert_eq!(from_engine, naive, "ignore_nulls {ignore_nulls}");
-            for (ind, violations) in inds.iter().zip(&naive) {
+        // Snow White (t1) never has a book counterpart; the null title (t2)
+        // dangles under set semantics only.  Every book title is ordered.
+        for threads in [1, 2] {
+            let engine = DetectionEngine::with_threads(threads);
+            for (ignore_nulls, dangling) in [(false, vec![1, 2]), (true, vec![1])] {
+                let expected = vec![dangling.into_iter().map(TupleId).collect(), Vec::new()];
                 assert_eq!(
-                    engine.ind_holds(&db, ind, ignore_nulls).unwrap(),
-                    violations.is_empty(),
-                    "{ind} (ignore_nulls {ignore_nulls})"
+                    engine
+                        .detect_ind_violations(&db, &inds, ignore_nulls)
+                        .unwrap(),
+                    expected,
+                    "ignore_nulls {ignore_nulls}"
                 );
+                for (ind, violations) in inds.iter().zip(&expected) {
+                    assert_eq!(
+                        engine.ind_holds(&db, ind, ignore_nulls).unwrap(),
+                        violations.is_empty(),
+                        "{ind} (ignore_nulls {ignore_nulls})"
+                    );
+                }
             }
+            // The probe structures are pooled: a second run rebuilds nothing.
+            let misses = engine.pool_stats().misses;
+            engine.detect_ind_violations(&db, &inds, false).unwrap();
+            assert_eq!(engine.pool_stats().misses, misses, "warm IND run");
         }
-        // The probe structures are pooled: a second run rebuilds nothing.
-        let misses = engine.pool_stats().misses;
-        engine.detect_ind_violations(&db, &inds, false).unwrap();
-        assert_eq!(engine.pool_stats().misses, misses, "warm IND run");
-        // An IND over a missing relation errors like the naive path.
+        // An IND over a missing relation is an error.
+        let engine = DetectionEngine::new();
         let ghost = Ind::from_indices("order", vec![0], "ghost", vec![0]);
         assert!(engine.detect_ind_violations(&db, &[ghost], false).is_err());
     }

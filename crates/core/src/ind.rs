@@ -9,8 +9,8 @@
 //! possibly incomplete) in general.
 
 use dq_relation::{
-    Database, DistinctSet, DqError, DqResult, HashIndex, IdTranslation, InternedIndex,
-    RelationSchema, TupleId, Value, ValueId,
+    Database, DistinctSet, DqError, DqResult, IdTranslation, InternedIndex, RelationSchema,
+    TupleId, Value, ValueId,
 };
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -100,22 +100,17 @@ impl Ind {
     /// `ignore_nulls` is set, LHS tuples carrying `NULL` in any `X` position
     /// are exempt (SQL's foreign-key semantics) instead of counting as
     /// violations — without it, one null LHS cell falsifies the IND because
-    /// the projection `(…, NULL, …)` matches no RHS tuple.
+    /// the projection `(…, NULL, …)` matches no RHS tuple.  Runs the IND
+    /// kernel over an unpooled interned index of the LHS relation and an
+    /// unpooled distinct-projection set of the RHS relation;
+    /// [`DetectionEngine`](crate::engine::DetectionEngine) runs the same
+    /// kernel over pooled ones.
     pub fn violations_with(&self, db: &Database, ignore_nulls: bool) -> DqResult<Vec<TupleId>> {
         let lhs = db.require_relation(&self.lhs_relation)?;
         let rhs = db.require_relation(&self.rhs_relation)?;
-        let index = HashIndex::build(rhs, &self.rhs_attrs);
-        let mut out = Vec::new();
-        for (id, tuple) in lhs.iter() {
-            if ignore_nulls && self.lhs_attrs.iter().any(|&a| tuple.get(a).is_null()) {
-                continue;
-            }
-            let key = tuple.project(&self.lhs_attrs);
-            if !index.contains_key(&key) {
-                out.push(id);
-            }
-        }
-        Ok(out)
+        let index = InternedIndex::build(lhs, &lhs.columnar(), &self.lhs_attrs, 1);
+        let distinct = DistinctSet::build(rhs, &rhs.columnar(), &self.rhs_attrs, 1);
+        Ok(self.violations_with_interned(&index, &distinct, ignore_nulls))
     }
 
     /// Does the database satisfy this IND?
@@ -129,15 +124,14 @@ impl Ind {
         Ok(self.violations_with(db, ignore_nulls)?.is_empty())
     }
 
-    /// Violations computed against a caller-supplied *interned* index of the
-    /// LHS relation on exactly `X` and distinct-projection set of the RHS
-    /// relation on exactly `Y` (both usually served by a shared
-    /// [`IndexPool`](dq_relation::IndexPool)).  Each distinct LHS projection
-    /// is translated into the RHS dictionaries once — via
-    /// [`IdTranslation`], `O(distinct values)` setup — and probed once, so
-    /// the cost is per *distinct key*, not per tuple.  Output (ascending
-    /// tuple ids) equals [`violations_with`](Self::violations_with).
-    pub fn violations_with_interned(
+    /// The IND kernel: violations against an interned index of the LHS
+    /// relation on exactly `X` and a distinct-projection set of the RHS
+    /// relation on exactly `Y`.  Each distinct LHS projection is translated
+    /// into the RHS dictionaries once — via [`IdTranslation`],
+    /// `O(distinct values)` setup — and probed once, so the cost is per
+    /// *distinct key*, not per tuple.  Violations come out in ascending
+    /// tuple-id order.
+    pub(crate) fn violations_with_interned(
         &self,
         lhs_index: &InternedIndex,
         rhs: &DistinctSet,
@@ -167,8 +161,8 @@ impl Ind {
             }
             bad_rows.extend_from_slice(rows);
         }
-        // Store rows are in insertion order, so sorted rows give the
-        // ascending tuple-id order of the naive scan.
+        // Store rows are in insertion order, so sorted rows give ascending
+        // tuple ids.
         bad_rows.sort_unstable();
         bad_rows
             .into_iter()
@@ -460,9 +454,10 @@ mod tests {
     }
 
     #[test]
-    fn interned_violations_equal_naive() {
+    fn violations_list_the_hand_derived_dangling_tuples() {
         let (order, book, _) = schemas();
         let mut db = db();
+        // t2: a book order with a null title and a price no book carries.
         db.relation_mut("order")
             .unwrap()
             .insert_values([
@@ -472,22 +467,30 @@ mod tests {
                 Value::real(99.0),
             ])
             .unwrap();
-        for ind in [
-            Ind::new(&order, &["title", "price"], &book, &["title", "price"]).unwrap(),
-            Ind::new(&order, &["asin"], &book, &["isbn"]).unwrap(),
-            Ind::new(&order, &["title"], &book, &["title"]).unwrap(),
+        let ids = |ids: &[usize]| ids.iter().map(|&i| TupleId(i)).collect::<Vec<_>>();
+        for (ind, strict, lenient) in [
+            // Only t2 dangles, and only because of its null title.
+            (
+                Ind::new(&order, &["title", "price"], &book, &["title", "price"]).unwrap(),
+                ids(&[2]),
+                ids(&[]),
+            ),
+            // No asin is an isbn; asins are never null.
+            (
+                Ind::new(&order, &["asin"], &book, &["isbn"]).unwrap(),
+                ids(&[0, 1, 2]),
+                ids(&[0, 1, 2]),
+            ),
+            // A non-null price absent from book dangles either way.
+            (
+                Ind::new(&order, &["price"], &book, &["price"]).unwrap(),
+                ids(&[2]),
+                ids(&[2]),
+            ),
         ] {
-            let lhs = db.require_relation(ind.lhs_relation()).unwrap();
-            let rhs = db.require_relation(ind.rhs_relation()).unwrap();
-            let index = InternedIndex::build(lhs, &lhs.columnar(), ind.lhs_attrs(), 1);
-            let distinct = DistinctSet::build(rhs, &rhs.columnar(), ind.rhs_attrs(), 1);
-            for ignore_nulls in [false, true] {
-                assert_eq!(
-                    ind.violations_with_interned(&index, &distinct, ignore_nulls),
-                    ind.violations_with(&db, ignore_nulls).unwrap(),
-                    "{ind} (ignore_nulls {ignore_nulls})"
-                );
-            }
+            assert_eq!(ind.violations_with(&db, false).unwrap(), strict, "{ind}");
+            assert_eq!(ind.violations_with(&db, true).unwrap(), lenient, "{ind}");
+            assert_eq!(ind.holds_on_with(&db, true).unwrap(), lenient.is_empty());
         }
     }
 

@@ -21,7 +21,7 @@
 //! data of the same source.
 
 use crate::fd_discovery::{discover_fds_with_pool, subsets_of_size, FdDiscoveryConfig};
-use crate::partition::{g3_error, g3_error_interned};
+use crate::partition::g3_error_interned;
 use crate::source::resolve_threads;
 use dq_core::cfd::Cfd;
 use dq_core::engine::parallel_map;
@@ -32,15 +32,15 @@ use dq_relation::{
     Column, FxHashMap, IndexPool, InternedIndex, KeyCodec, ProjectionKey, RelationInstance, Value,
     ValueId,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// The canonical group-mining order shared by the naive and interned
-/// paths.  `Value`'s `Ord` deliberately compares mixed numerics (`Int(0)`
-/// vs `Real(0.0)`) as equal while `Eq` distinguishes them, so `Ord`-equal
-/// but distinct keys get a debug-rendering tiebreak — without it each
-/// path's hash-map iteration order would leak through the stable sort.
-fn sorted_group_order(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
+/// The canonical group-mining order.  `Value`'s `Ord` deliberately compares
+/// mixed numerics (`Int(0)` vs `Real(0.0)`) as equal while `Eq`
+/// distinguishes them, so `Ord`-equal but distinct keys get a
+/// debug-rendering tiebreak — without it the dictionary's id order would
+/// leak through the sort.
+pub(crate) fn sorted_group_order(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
     a.cmp(b)
         .then_with(|| format!("{a:?}").cmp(&format!("{b:?}")))
 }
@@ -63,11 +63,6 @@ pub struct CfdDiscoveryConfig {
     pub max_tableau: usize,
     /// Attributes excluded from discovery (surrogate keys, free text).
     pub exclude: Vec<usize>,
-    /// Mine over pooled interned indexes (id comparisons, packed keys —
-    /// the fast path).  `false` keeps the legacy `Vec<Value>`-keyed
-    /// grouping; both paths mine groups in sorted key order and produce
-    /// identical dependency sets.
-    pub use_interned: bool,
     /// Worker threads for the per-level fan-outs (embedded FD discovery,
     /// constant-pattern mining per LHS, tableau mining per condition-
     /// position set).  `0` sizes the pool to the machine; `1` mines
@@ -92,7 +87,6 @@ impl Default for CfdDiscoveryConfig {
             max_candidate_g3: 0.5,
             max_tableau: 64,
             exclude: Vec::new(),
-            use_interned: true,
             threads: 0,
             minimal_cover: false,
         }
@@ -152,8 +146,8 @@ pub fn discover_constant_cfds(
     discover_constant_cfds_with_pool(instance, config, &Arc::new(IndexPool::new()))
 }
 
-/// [`discover_constant_cfds`] over a shared [`IndexPool`].  On the interned
-/// path every candidate condition set is grouped through a pooled
+/// [`discover_constant_cfds`] over a shared [`IndexPool`].  Every
+/// candidate condition set is grouped through a pooled
 /// [`InternedIndex`], support and right-hand-side agreement are checked on
 /// `u32` dictionary ids, and the minimality probe re-uses the sub-condition
 /// indexes the level-wise sweep already built.
@@ -180,18 +174,7 @@ pub(crate) fn discover_constant_cfds_with_pool_timed(
     // tableaux[(lhs, rhs)] -> pattern tuples
     let mut tableaux: BTreeMap<(Vec<usize>, usize), Vec<PatternTuple>> = BTreeMap::new();
     let mut level_ms: Vec<f64> = Vec::new();
-    if config.use_interned {
-        mine_constant_patterns_interned(
-            instance,
-            config,
-            pool,
-            &attrs,
-            &mut tableaux,
-            &mut level_ms,
-        );
-    } else {
-        mine_constant_patterns_naive(instance, config, &attrs, &mut tableaux, &mut level_ms);
-    }
+    mine_constant_patterns(instance, config, pool, &attrs, &mut tableaux, &mut level_ms);
     let cfds = tableaux
         .into_iter()
         .filter_map(|((lhs, rhs), mut tableau)| {
@@ -207,79 +190,14 @@ pub(crate) fn discover_constant_cfds_with_pool_timed(
 /// the tableaux in canonical order.
 type MinedPattern = (usize, Vec<Value>, Value);
 
-/// The legacy mining loop: per-tuple `Vec<Value>` projections.  Groups are
-/// visited in sorted key order so the tableau cap selects the same patterns
-/// as the interned path.  The LHS sets of one size level mine independently
-/// (each writes its own `(LHS, RHS)` tableau keys), so they fan out across
-/// the thread pool; per-LHS results merge back in canonical subset order.
-fn mine_constant_patterns_naive(
-    instance: &RelationInstance,
-    config: &CfdDiscoveryConfig,
-    attrs: &[usize],
-    tableaux: &mut BTreeMap<(Vec<usize>, usize), Vec<PatternTuple>>,
-    level_ms: &mut Vec<f64>,
-) {
-    let threads = resolve_threads(config.threads);
-    let all_tuples: Vec<_> = instance.iter().map(|(_, t)| t.clone()).collect();
-    for size in 1..=config.max_lhs.min(attrs.len()) {
-        let level_span = dq_obs::span_owned(format!("level{size}"));
-        let lhs_sets = subsets_of_size(attrs, size);
-        let per_lhs: Vec<Vec<MinedPattern>> = parallel_map(&lhs_sets, threads, |lhs| {
-            let mut by_key: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-            for (pos, tuple) in all_tuples.iter().enumerate() {
-                by_key.entry(tuple.project(lhs)).or_default().push(pos);
-            }
-            let mut groups: Vec<(Vec<Value>, Vec<usize>)> = by_key.into_iter().collect();
-            groups.sort_by(|a, b| sorted_group_order(&a.0, &b.0));
-            let mut mined: Vec<MinedPattern> = Vec::new();
-            for (lhs_values, members) in &groups {
-                if members.len() < config.min_support {
-                    continue;
-                }
-                for &rhs in attrs {
-                    if lhs.contains(&rhs) {
-                        continue;
-                    }
-                    let first = all_tuples[members[0]].get(rhs).clone();
-                    if !members.iter().all(|&m| all_tuples[m].get(rhs) == &first) {
-                        continue;
-                    }
-                    // Minimality: a proper sub-condition that already forces
-                    // the same constant (with support) makes this redundant.
-                    if size >= 2
-                        && is_redundant_constant_pattern(
-                            &all_tuples,
-                            lhs,
-                            lhs_values,
-                            rhs,
-                            &first,
-                            config.min_support,
-                        )
-                    {
-                        continue;
-                    }
-                    mined.push((rhs, lhs_values.clone(), first));
-                }
-            }
-            mined
-        });
-        for (lhs, mined) in lhs_sets.iter().zip(per_lhs) {
-            for (rhs, lhs_values, first) in mined {
-                push_constant_pattern(tableaux, config, lhs, rhs, &lhs_values, &first);
-            }
-        }
-        level_ms.push(level_span.finish_ms());
-    }
-}
-
-/// The interned mining loop: conditions group through pooled indexes and
-/// every support / agreement / minimality check compares dictionary ids.
-/// Values are resolved only when a pattern is actually emitted (and to sort
-/// groups into the canonical mining order).  Like the naive loop, the LHS
-/// sets of one size level fan out across the thread pool — the pooled
-/// index and column lookups are all concurrent — and merge back in
-/// canonical subset order.
-fn mine_constant_patterns_interned(
+/// The mining loop: conditions group through pooled indexes and every
+/// support / agreement / minimality check compares dictionary ids.  Values
+/// are resolved only when a pattern is actually emitted (and to sort groups
+/// into the canonical mining order).  The LHS sets of one size level mine
+/// independently (each writes its own `(LHS, RHS)` tableau keys), so they
+/// fan out across the thread pool — the pooled index and column lookups
+/// are all concurrent — and merge back in canonical subset order.
+fn mine_constant_patterns(
     instance: &RelationInstance,
     config: &CfdDiscoveryConfig,
     pool: &Arc<IndexPool>,
@@ -322,7 +240,7 @@ fn mine_constant_patterns_interned(
                         continue;
                     }
                     if size >= 2
-                        && is_redundant_constant_pattern_interned(
+                        && is_redundant_constant_pattern(
                             instance,
                             pool,
                             lhs,
@@ -387,52 +305,14 @@ fn lhs_more_general(a: &[PatternValue], b: &[PatternValue]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(pa, pb)| pa.is_any() || pa == pb)
 }
 
-/// Whether some proper subset of the condition already forces `rhs = value`
-/// on at least `min_support` tuples — in which case the longer condition is
-/// not minimal and should not be reported.
-fn is_redundant_constant_pattern(
-    tuples: &[dq_relation::Tuple],
-    lhs: &[usize],
-    lhs_values: &[Value],
-    rhs: usize,
-    value: &Value,
-    min_support: usize,
-) -> bool {
-    for drop in 0..lhs.len() {
-        let sub_attrs: Vec<usize> = lhs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != drop)
-            .map(|(_, &a)| a)
-            .collect();
-        let sub_values: Vec<&Value> = lhs_values
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != drop)
-            .map(|(_, v)| v)
-            .collect();
-        let matching: Vec<&dq_relation::Tuple> = tuples
-            .iter()
-            .filter(|t| {
-                sub_attrs
-                    .iter()
-                    .zip(&sub_values)
-                    .all(|(&a, v)| t.get(a) == *v)
-            })
-            .collect();
-        if matching.len() >= min_support && matching.iter().all(|t| t.get(rhs) == value) {
-            return true;
-        }
-    }
-    false
-}
-
-/// Interned counterpart of [`is_redundant_constant_pattern`]: each
+/// Whether some proper subset of the condition already forces the RHS
+/// constant on at least `min_support` tuples — in which case the longer
+/// condition is not minimal and should not be reported.  Each
 /// sub-condition is probed through its pooled index by dictionary ids
 /// (valid across indexes because columns — and hence dictionaries — are
 /// shared per store), and agreement on the right-hand side compares ids.
 #[allow(clippy::too_many_arguments)]
-fn is_redundant_constant_pattern_interned(
+fn is_redundant_constant_pattern(
     instance: &RelationInstance,
     pool: &Arc<IndexPool>,
     lhs: &[usize],
@@ -467,51 +347,28 @@ fn is_redundant_constant_pattern_interned(
     false
 }
 
-/// The grouping / validation backend of [`discover_tableau_for_fd`]: the
-/// legacy variant projects `Vec<Value>` keys per tuple, the interned
-/// variant groups through pooled indexes and compares packed dictionary
-/// ids.  Both hand the shared mining loop groups in sorted key order and
-/// members as dense row positions, so the mined tableaux are identical.
-enum TableauMiner<'a> {
-    Naive {
-        tuples: Vec<dq_relation::Tuple>,
-        lhs: Vec<usize>,
-        rhs: Vec<usize>,
-    },
-    Interned {
-        instance: &'a RelationInstance,
-        pool: Arc<IndexPool>,
-        lhs_codec: KeyCodec,
-        rhs_codec: KeyCodec,
-        rhs_cols: Vec<Arc<Column>>,
-    },
+/// The grouping / validation backend of [`discover_tableau_for_fd`]: groups
+/// come from pooled interned indexes in sorted key order, members are
+/// dense row positions, and validation compares packed dictionary ids.
+struct TableauMiner<'a> {
+    instance: &'a RelationInstance,
+    pool: Arc<IndexPool>,
+    lhs_codec: KeyCodec,
+    rhs_codec: KeyCodec,
+    rhs_cols: Vec<Arc<Column>>,
 }
 
 impl<'a> TableauMiner<'a> {
-    fn naive(instance: &RelationInstance, fd: &Fd) -> Self {
-        TableauMiner::Naive {
-            tuples: instance.iter().map(|(_, t)| t.clone()).collect(),
-            lhs: fd.lhs().to_vec(),
-            rhs: fd.rhs().to_vec(),
-        }
-    }
-
-    fn interned(instance: &'a RelationInstance, fd: &Fd, pool: &Arc<IndexPool>) -> Self {
+    fn new(instance: &'a RelationInstance, fd: &Fd, pool: &Arc<IndexPool>) -> Self {
         let store = instance.columnar();
-        let lhs_cols: Vec<Arc<Column>> = fd
-            .lhs()
-            .iter()
-            .map(|&a| store.column(instance, a))
-            .collect();
-        let rhs_cols: Vec<Arc<Column>> = fd
-            .rhs()
-            .iter()
-            .map(|&a| store.column(instance, a))
-            .collect();
-        TableauMiner::Interned {
+        let columns = |attrs: &[usize]| -> Vec<Arc<Column>> {
+            attrs.iter().map(|&a| store.column(instance, a)).collect()
+        };
+        let rhs_cols = columns(fd.rhs());
+        TableauMiner {
             instance,
             pool: Arc::clone(pool),
-            lhs_codec: KeyCodec::new(lhs_cols),
+            lhs_codec: KeyCodec::new(columns(fd.lhs())),
             rhs_codec: KeyCodec::new(rhs_cols.clone()),
             rhs_cols,
         }
@@ -519,110 +376,55 @@ impl<'a> TableauMiner<'a> {
 
     /// Distinct value combinations on `cond_attrs` with at least
     /// `min_support` members, sorted by key values; members are dense row
-    /// positions (live tuples in insertion order on both variants).
+    /// positions (live tuples in insertion order).
     fn groups(&self, cond_attrs: &[usize], min_support: usize) -> Vec<(Vec<Value>, Vec<usize>)> {
-        let mut out: Vec<(Vec<Value>, Vec<usize>)> = match self {
-            TableauMiner::Naive { tuples, .. } => {
-                let mut by_key: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-                for (pos, tuple) in tuples.iter().enumerate() {
-                    by_key
-                        .entry(tuple.project(cond_attrs))
-                        .or_default()
-                        .push(pos);
-                }
-                by_key
-                    .into_iter()
-                    .filter(|(_, members)| members.len() >= min_support)
-                    .collect()
-            }
-            TableauMiner::Interned { instance, pool, .. } => {
-                // Condition sets revisit indexes FD discovery already
-                // built; a cold build runs single-threaded because the
-                // condition-position sets themselves are the parallel axis.
-                let index = pool.interned_for(instance, cond_attrs, 1);
-                index
-                    .groups()
-                    .filter(|(_, rows)| rows.len() >= min_support)
-                    .map(|(ids, rows)| {
-                        (
-                            resolve_key(&index, &ids),
-                            rows.iter().map(|&r| r as usize).collect(),
-                        )
-                    })
-                    .collect()
-            }
-        };
+        // Condition sets revisit indexes FD discovery already built; a cold
+        // build runs single-threaded because the condition-position sets
+        // themselves are the parallel axis.
+        let index = self.pool.interned_for(self.instance, cond_attrs, 1);
+        let mut out: Vec<(Vec<Value>, Vec<usize>)> = index
+            .groups()
+            .filter(|(_, rows)| rows.len() >= min_support)
+            .map(|(ids, rows)| {
+                (
+                    resolve_key(&index, &ids),
+                    rows.iter().map(|&r| r as usize).collect(),
+                )
+            })
+            .collect();
         out.sort_by(|a, b| sorted_group_order(&a.0, &b.0));
         out
     }
 
     /// Does the embedded FD hold on exactly these members?
     fn fd_holds_on(&self, members: &[usize]) -> bool {
-        match self {
-            TableauMiner::Naive { tuples, lhs, rhs } => {
-                let mut by_lhs: HashMap<Vec<Value>, Vec<Value>> = HashMap::new();
-                for &m in members {
-                    let key = tuples[m].project(lhs);
-                    let val = tuples[m].project(rhs);
-                    match by_lhs.get(&key) {
-                        Some(existing) if existing != &val => return false,
-                        Some(_) => {}
-                        None => {
-                            by_lhs.insert(key, val);
-                        }
-                    }
+        let mut by_lhs: FxHashMap<ProjectionKey, ProjectionKey> = FxHashMap::default();
+        for &m in members {
+            let key = self.lhs_codec.pack_row(m);
+            let val = self.rhs_codec.pack_row(m);
+            match by_lhs.get(&key) {
+                Some(existing) if existing != &val => return false,
+                Some(_) => {}
+                None => {
+                    by_lhs.insert(key, val);
                 }
-                true
-            }
-            TableauMiner::Interned {
-                lhs_codec,
-                rhs_codec,
-                ..
-            } => {
-                let mut by_lhs: FxHashMap<ProjectionKey, ProjectionKey> = FxHashMap::default();
-                for &m in members {
-                    let key = lhs_codec.pack_row(m);
-                    let val = rhs_codec.pack_row(m);
-                    match by_lhs.get(&key) {
-                        Some(existing) if existing != &val => return false,
-                        Some(_) => {}
-                        None => {
-                            by_lhs.insert(key, val);
-                        }
-                    }
-                }
-                true
             }
         }
+        true
     }
 
     /// The members' common RHS projection, when they all agree on it.
     fn constant_rhs(&self, members: &[usize]) -> Option<Vec<Value>> {
-        match self {
-            TableauMiner::Naive { tuples, rhs, .. } => {
-                let first_rhs = tuples[members[0]].project(rhs);
-                members
+        let first = self.rhs_codec.pack_row(members[0]);
+        members
+            .iter()
+            .all(|&m| self.rhs_codec.pack_row(m) == first)
+            .then(|| {
+                self.rhs_cols
                     .iter()
-                    .all(|&m| tuples[m].project(rhs) == first_rhs)
-                    .then_some(first_rhs)
-            }
-            TableauMiner::Interned {
-                rhs_codec,
-                rhs_cols,
-                ..
-            } => {
-                let first = rhs_codec.pack_row(members[0]);
-                members
-                    .iter()
-                    .all(|&m| rhs_codec.pack_row(m) == first)
-                    .then(|| {
-                        rhs_cols
-                            .iter()
-                            .map(|col| col.interner().resolve(col.id_at(members[0])).clone())
-                            .collect()
-                    })
-            }
-        }
+                    .map(|col| col.interner().resolve(col.id_at(members[0])).clone())
+                    .collect()
+            })
     }
 }
 
@@ -673,11 +475,7 @@ fn discover_tableau_for_fd_with_pool_threads(
     let schema = instance.schema().clone();
     let lhs = fd.lhs().to_vec();
     let rhs = fd.rhs().to_vec();
-    let miner = if config.use_interned {
-        TableauMiner::interned(instance, fd, pool)
-    } else {
-        TableauMiner::naive(instance, fd)
-    };
+    let miner = TableauMiner::new(instance, fd, pool);
     let mut accepted: Vec<PatternTuple> = Vec::new();
 
     /// One validated pattern candidate, produced by a per-condition-set
@@ -804,7 +602,6 @@ pub fn discover_cfds_with_pool(
             max_lhs: config.max_lhs,
             max_g3: 0.0,
             exclude: config.exclude.clone(),
-            use_interned: config.use_interned,
             threads: config.threads,
         },
         pool,
@@ -821,7 +618,6 @@ pub fn discover_cfds_with_pool(
             max_lhs: config.max_lhs,
             max_g3: config.max_candidate_g3,
             exclude: config.exclude.clone(),
-            use_interned: config.use_interned,
             threads: config.threads,
         },
         pool,
@@ -854,13 +650,8 @@ pub fn discover_cfds_with_pool(
     }
     let outcomes: Vec<FdOutcome> = parallel_map(&tableau_fds, threads, |fd| {
         // Only condition on FDs that genuinely fail globally.
-        let fd_g3 = if config.use_interned {
-            let index = pool.interned_for(instance, fd.lhs(), 1);
-            g3_error_interned(&index, instance, fd.rhs())
-        } else {
-            g3_error(instance, fd.lhs(), fd.rhs())
-        };
-        if fd_g3 == 0.0 {
+        let index = pool.interned_for(instance, fd.lhs(), 1);
+        if g3_error_interned(&index, instance, fd.rhs()) == 0.0 {
             return FdOutcome {
                 checked: false,
                 cfd: None,
@@ -1078,24 +869,21 @@ mod tests {
     #[test]
     fn fan_out_is_byte_identical_to_sequential_mining() {
         let inst = uk_us_instance();
-        for use_interned in [false, true] {
-            let config = |threads| CfdDiscoveryConfig {
-                threads,
-                use_interned,
-                min_support: 2,
-                max_lhs: 2,
-                ..CfdDiscoveryConfig::default()
-            };
-            let sequential = discover_cfds(&inst, &config(1));
-            for threads in [2, 8] {
-                let parallel = discover_cfds(&inst, &config(threads));
-                assert_eq!(
-                    parallel.variable_cfds, sequential.variable_cfds,
-                    "threads {threads}"
-                );
-                assert_eq!(parallel.constant_cfds, sequential.constant_cfds);
-                assert_eq!(parallel.candidates_checked, sequential.candidates_checked);
-            }
+        let config = |threads| CfdDiscoveryConfig {
+            threads,
+            min_support: 2,
+            max_lhs: 2,
+            ..CfdDiscoveryConfig::default()
+        };
+        let sequential = discover_cfds(&inst, &config(1));
+        for threads in [2, 8] {
+            let parallel = discover_cfds(&inst, &config(threads));
+            assert_eq!(
+                parallel.variable_cfds, sequential.variable_cfds,
+                "threads {threads}"
+            );
+            assert_eq!(parallel.constant_cfds, sequential.constant_cfds);
+            assert_eq!(parallel.candidates_checked, sequential.candidates_checked);
         }
     }
 

@@ -36,13 +36,8 @@ pub struct FdDiscoveryConfig {
     pub max_g3: f64,
     /// Attributes to exclude from both sides (e.g. surrogate identifiers).
     pub exclude: Vec<usize>,
-    /// Validate candidates over partitions derived from pooled interned
-    /// indexes and id-based partition products (the fast path).  `false`
-    /// keeps the legacy `Vec<Value>`-keyed partition builds — same results,
-    /// kept for equivalence tests and the `--discovery-bench` comparison.
-    pub use_interned: bool,
     /// Worker threads for the per-level candidate fan-out (and for cold
-    /// pooled index builds on the interned path).  `0` sizes the pool to
+    /// pooled index builds).  `0` sizes the pool to
     /// the machine; `1` validates sequentially.  The discovered output is
     /// identical at every thread count.
     pub threads: usize,
@@ -54,7 +49,6 @@ impl Default for FdDiscoveryConfig {
             max_lhs: 3,
             max_g3: 0.0,
             exclude: Vec::new(),
-            use_interned: true,
             threads: 0,
         }
     }
@@ -102,11 +96,7 @@ pub fn discover_fds_with_pool(
 ) -> DiscoveredFds {
     let _span = dq_obs::span!("discover.fd", arity = instance.schema().arity());
     let threads = resolve_threads(config.threads);
-    let source = if config.use_interned {
-        PartitionSource::interned(instance, Arc::clone(pool), threads)
-    } else {
-        PartitionSource::naive(instance)
-    };
+    let source = PartitionSource::interned(instance, Arc::clone(pool), threads);
     level_sweep(&source, instance.schema(), config, threads)
 }
 
@@ -115,8 +105,7 @@ pub fn discover_fds_with_pool(
 /// tallies come from sequential shard scans; the lattice walk, pruning
 /// rules and per-level fan-out are the same code as the instance path, so
 /// the discovered FDs and candidate counts are byte-identical to
-/// [`discover_fds`] over the same logical relation.  `use_interned` is
-/// ignored (there is no row store to fall back to).
+/// [`discover_fds`] over the same logical relation.
 pub fn discover_fds_from_shards(
     shards: &dyn ShardSource,
     config: &FdDiscoveryConfig,
@@ -391,21 +380,18 @@ mod tests {
             ("z", "q", "4"),
             ("z", "q", "4"),
         ]);
-        for use_interned in [false, true] {
-            for max_g3 in [0.0, 0.2] {
-                let config = |threads| FdDiscoveryConfig {
-                    threads,
-                    use_interned,
-                    max_g3,
-                    ..FdDiscoveryConfig::default()
-                };
-                let sequential = discover_fds(&inst, &config(1));
-                for threads in [2, 8] {
-                    let parallel = discover_fds(&inst, &config(threads));
-                    assert_eq!(parallel.fds, sequential.fds, "threads {threads}");
-                    assert_eq!(parallel.candidates_checked, sequential.candidates_checked);
-                    assert_eq!(parallel.partitions_built, sequential.partitions_built);
-                }
+        for max_g3 in [0.0, 0.2] {
+            let config = |threads| FdDiscoveryConfig {
+                threads,
+                max_g3,
+                ..FdDiscoveryConfig::default()
+            };
+            let sequential = discover_fds(&inst, &config(1));
+            for threads in [2, 8] {
+                let parallel = discover_fds(&inst, &config(threads));
+                assert_eq!(parallel.fds, sequential.fds, "threads {threads}");
+                assert_eq!(parallel.candidates_checked, sequential.candidates_checked);
+                assert_eq!(parallel.partitions_built, sequential.partitions_built);
             }
         }
     }

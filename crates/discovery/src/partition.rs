@@ -27,44 +27,12 @@ pub struct StrippedPartition {
 }
 
 impl StrippedPartition {
-    /// Builds the stripped partition of `instance` on the attribute list
-    /// `attrs`.  The partition on the empty list has a single class holding
-    /// every tuple (if there are at least two).
-    pub fn build(instance: &RelationInstance, attrs: &[usize]) -> Self {
-        let mut groups: HashMap<Vec<Value>, Vec<TupleId>> = HashMap::new();
-        // Project into a reused buffer; a key vector is allocated only the
-        // first time a projection is seen, not once per tuple.
-        let mut buffer: Vec<Value> = Vec::with_capacity(attrs.len());
-        for (id, tuple) in instance.iter() {
-            buffer.clear();
-            buffer.extend(attrs.iter().map(|&a| tuple.get(a).clone()));
-            match groups.get_mut(buffer.as_slice()) {
-                Some(class) => class.push(id),
-                None => {
-                    groups.insert(buffer.clone(), vec![id]);
-                }
-            }
-        }
-        let mut classes: Vec<Vec<TupleId>> = groups
-            .into_values()
-            .filter(|class| class.len() >= 2)
-            .collect();
-        for class in &mut classes {
-            class.sort();
-        }
-        classes.sort();
-        StrippedPartition {
-            classes,
-            total: instance.len(),
-        }
-    }
-
     /// Derives the stripped partition directly from the CSR postings of an
     /// interned index on the same attribute list: every group of size ≥ 2
     /// *is* an equivalence class (group keys never need decoding), and row
-    /// numbers translate to ascending tuple ids for free.  Produces exactly
-    /// [`build`](Self::build)'s partition without materializing a single
-    /// `Vec<Value>` key.
+    /// numbers translate to ascending tuple ids for free, and no group key
+    /// is ever decoded.  The index on the empty attribute list yields a
+    /// single class holding every tuple (if there are at least two).
     pub fn from_interned(index: &InternedIndex) -> Self {
         let mut classes: Vec<Vec<TupleId>> = index
             .group_rows_iter()
@@ -85,8 +53,9 @@ impl StrippedPartition {
     /// pass: the first scan counts packed keys, the second collects tuple
     /// ids only for keys seen at least twice, so singleton projections
     /// (typically the bulk) never allocate a class.  Produces exactly
-    /// [`build`](Self::build)'s partition; resident memory is bounded by
-    /// the dictionaries, the key tallies and the surviving classes.
+    /// [`from_interned`](Self::from_interned)'s partition; resident memory
+    /// is bounded by the dictionaries, the key tallies and the surviving
+    /// classes.
     pub fn from_shards(source: &dyn ShardSource, attrs: &[usize]) -> Self {
         let cols: Vec<Arc<Column>> = attrs.iter().map(|&a| source.column(a)).collect();
         let codec = KeyCodec::new(cols);
@@ -301,11 +270,12 @@ pub fn g1_error(instance: &RelationInstance, lhs: &[usize], rhs: &[usize]) -> f6
     violating_pairs as f64 / (n * (n - 1)) as f64
 }
 
-/// [`g3_error`] over an interned LHS index: group sizes come straight from
-/// the CSR layout and the per-group `Y` tallies count packed id keys
-/// (machine words) instead of materialized `Vec<Value>` projections.  The
-/// arithmetic is identical, so the returned error is bit-identical to the
-/// naive measure's.
+/// The `g3` error of the FD `X → Y`: the minimum fraction of tuples that
+/// must be deleted for the FD to hold — within every `X`-group all tuples
+/// except those carrying the most frequent `Y`-value must go.  `index` is
+/// an interned index on `X`: group sizes come straight from the CSR layout
+/// and the per-group `Y` tallies count packed id keys (machine words)
+/// instead of materialized `Vec<Value>` projections.
 pub fn g3_error_interned(index: &InternedIndex, instance: &RelationInstance, rhs: &[usize]) -> f64 {
     let n = index.store().len();
     if n == 0 {
@@ -329,10 +299,10 @@ pub fn g3_error_interned(index: &InternedIndex, instance: &RelationInstance, rhs
     removed as f64 / n as f64
 }
 
-/// [`g3_error`] over a shard source: a count scan finds the multi-row
-/// `X`-groups, then a second scan tallies packed `Y`-keys per such group.
-/// Singleton groups force no removals, so skipping them changes nothing —
-/// the arithmetic is identical to [`g3_error`] and [`g3_error_interned`].
+/// [`g3_error_interned`] over a shard source: a count scan finds the
+/// multi-row `X`-groups, then a second scan tallies packed `Y`-keys per
+/// such group.  Singleton groups force no removals, so skipping them
+/// changes nothing — the arithmetic is identical to [`g3_error_interned`].
 pub fn g3_error_from_shards(source: &dyn ShardSource, lhs: &[usize], rhs: &[usize]) -> f64 {
     let n = source.len();
     if n == 0 {
@@ -370,31 +340,6 @@ pub fn g3_error_from_shards(source: &dyn ShardSource, lhs: &[usize], rhs: &[usiz
     removed as f64 / n as f64
 }
 
-/// The `g3` error of the FD `X → Y` on `instance`: the minimum fraction of
-/// tuples that must be deleted for the FD to hold.  Within every `X`-group
-/// all tuples except those carrying the most frequent `Y`-value must go.
-pub fn g3_error(instance: &RelationInstance, lhs: &[usize], rhs: &[usize]) -> f64 {
-    let n = instance.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let mut groups: HashMap<Vec<Value>, HashMap<Vec<Value>, usize>> = HashMap::new();
-    for (_, tuple) in instance.iter() {
-        *groups
-            .entry(tuple.project(lhs))
-            .or_default()
-            .entry(tuple.project(rhs))
-            .or_default() += 1;
-    }
-    let mut removed = 0usize;
-    for rhs_counts in groups.values() {
-        let group_size: usize = rhs_counts.values().sum();
-        let keep = rhs_counts.values().copied().max().unwrap_or(0);
-        removed += group_size - keep;
-    }
-    removed as f64 / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,30 +362,43 @@ mod tests {
         inst
     }
 
+    fn index(inst: &RelationInstance, attrs: &[usize]) -> InternedIndex {
+        InternedIndex::build(inst, &inst.columnar(), attrs, 1)
+    }
+
+    fn partition(inst: &RelationInstance, attrs: &[usize]) -> StrippedPartition {
+        StrippedPartition::from_interned(&index(inst, attrs))
+    }
+
+    fn g3(inst: &RelationInstance, lhs: &[usize], rhs: &[usize]) -> f64 {
+        g3_error_interned(&index(inst, lhs), inst, rhs)
+    }
+
     #[test]
-    fn build_groups_by_projection() {
+    fn from_interned_groups_by_projection() {
         let inst = instance(&[("x", "p", 1), ("x", "q", 2), ("y", "p", 3)]);
-        let pa = StrippedPartition::build(&inst, &[0]);
+        let pa = partition(&inst, &[0]);
+        assert_eq!(pa.classes(), [vec![TupleId(0), TupleId(1)]]);
         assert_eq!(pa.class_count(), 1);
         assert_eq!(pa.size(), 2);
         assert_eq!(pa.error(), 1);
-        let pb = StrippedPartition::build(&inst, &[1]);
-        assert_eq!(pb.class_count(), 1);
-        let pc = StrippedPartition::build(&inst, &[2]);
+        let pb = partition(&inst, &[1]);
+        assert_eq!(pb.classes(), [vec![TupleId(0), TupleId(2)]]);
+        let pc = partition(&inst, &[2]);
         assert!(pc.is_superkey());
     }
 
     #[test]
     fn empty_attribute_list_is_one_class() {
         let inst = instance(&[("x", "p", 1), ("y", "q", 2), ("z", "r", 3)]);
-        let p = StrippedPartition::build(&inst, &[]);
+        let p = partition(&inst, &[]);
         assert_eq!(p.class_count(), 1);
         assert_eq!(p.size(), 3);
         assert_eq!(p.error(), 2);
     }
 
     #[test]
-    fn product_equals_direct_build() {
+    fn product_equals_direct_partition() {
         let inst = instance(&[
             ("x", "p", 1),
             ("x", "p", 1),
@@ -448,11 +406,12 @@ mod tests {
             ("y", "p", 2),
             ("y", "p", 2),
         ]);
-        let pa = StrippedPartition::build(&inst, &[0]);
-        let pb = StrippedPartition::build(&inst, &[1]);
-        let product = pa.product(&pb);
-        let direct = StrippedPartition::build(&inst, &[0, 1]);
-        assert_eq!(product, direct);
+        let product = partition(&inst, &[0]).product(&partition(&inst, &[1]));
+        assert_eq!(product, partition(&inst, &[0, 1]));
+        assert_eq!(
+            product.classes(),
+            dq_oracle::discovery::partition_classes(&inst, &[0, 1])
+        );
     }
 
     #[test]
@@ -465,8 +424,8 @@ mod tests {
             ("y", "q", 5),
             ("y", "p", 6),
         ]);
-        let pa = StrippedPartition::build(&inst, &[0]);
-        let pb = StrippedPartition::build(&inst, &[1]);
+        let pa = partition(&inst, &[0]);
+        let pb = partition(&inst, &[1]);
         assert_eq!(pa.product(&pb), pb.product(&pa));
     }
 
@@ -474,12 +433,8 @@ mod tests {
     fn fd_detection_via_error_equality() {
         // a -> b holds; b -> a does not.
         let inst = instance(&[("x", "p", 1), ("x", "p", 2), ("y", "p", 3), ("z", "q", 4)]);
-        let pa = StrippedPartition::build(&inst, &[0]);
-        let pab = StrippedPartition::build(&inst, &[0, 1]);
-        assert!(pa.implies_with(&pab));
-        let pb = StrippedPartition::build(&inst, &[1]);
-        let pba = StrippedPartition::build(&inst, &[1, 0]);
-        assert!(!pb.implies_with(&pba));
+        assert!(partition(&inst, &[0]).implies_with(&partition(&inst, &[0, 1])));
+        assert!(!partition(&inst, &[1]).implies_with(&partition(&inst, &[1, 0])));
     }
 
     #[test]
@@ -494,20 +449,19 @@ mod tests {
     fn g3_counts_minimum_removals() {
         // Group "x" has b-values p,p,q: one removal fixes it.  4 tuples total.
         let inst = instance(&[("x", "p", 1), ("x", "p", 2), ("x", "q", 3), ("y", "r", 4)]);
-        let g3 = g3_error(&inst, &[0], &[1]);
-        assert!((g3 - 0.25).abs() < 1e-12);
+        assert_eq!(g3(&inst, &[0], &[1]), 0.25);
     }
 
     #[test]
     fn g3_zero_on_empty_and_satisfying() {
         let empty = RelationInstance::new(schema());
-        assert_eq!(g3_error(&empty, &[0], &[1]), 0.0);
+        assert_eq!(g3(&empty, &[0], &[1]), 0.0);
         let holds = instance(&[("x", "p", 1), ("y", "q", 2)]);
-        assert_eq!(g3_error(&holds, &[0], &[1]), 0.0);
+        assert_eq!(g3(&holds, &[0], &[1]), 0.0);
     }
 
     #[test]
-    fn from_shards_matches_build() {
+    fn from_shards_matches_the_oracle() {
         let inst = instance(&[
             ("x", "p", 1),
             ("x", "p", 1),
@@ -518,16 +472,22 @@ mod tests {
         ]);
         let source = dq_relation::StoreShardSource::new(&inst);
         for attrs in [&[0usize][..], &[1], &[2], &[0, 1], &[0, 1, 2], &[]] {
+            let expected = dq_oracle::discovery::partition_classes(&inst, attrs);
             assert_eq!(
-                StrippedPartition::from_shards(&source, attrs),
-                StrippedPartition::build(&inst, attrs),
+                StrippedPartition::from_shards(&source, attrs).classes(),
+                expected,
+                "attrs {attrs:?}"
+            );
+            assert_eq!(
+                partition(&inst, attrs).classes(),
+                expected,
                 "attrs {attrs:?}"
             );
         }
     }
 
     #[test]
-    fn g3_from_shards_matches_naive() {
+    fn g3_on_both_backings_matches_the_oracle() {
         let inst = instance(&[("x", "p", 1), ("x", "p", 2), ("x", "q", 3), ("y", "r", 4)]);
         let source = dq_relation::StoreShardSource::new(&inst);
         for (lhs, rhs) in [
@@ -536,18 +496,20 @@ mod tests {
             (&[0, 1], &[2]),
             (&[2], &[0]),
         ] {
+            let expected = dq_oracle::discovery::g3_error(&inst, lhs, rhs);
             assert_eq!(
                 g3_error_from_shards(&source, lhs, rhs),
-                g3_error(&inst, lhs, rhs),
+                expected,
                 "{lhs:?} -> {rhs:?}"
             );
+            assert_eq!(g3(&inst, lhs, rhs), expected, "{lhs:?} -> {rhs:?}");
         }
     }
 
     #[test]
     fn superkey_partition_has_no_classes() {
         let inst = instance(&[("x", "p", 1), ("y", "p", 2), ("z", "p", 3)]);
-        let p = StrippedPartition::build(&inst, &[0]);
+        let p = partition(&inst, &[0]);
         assert!(p.is_superkey());
         assert_eq!(p.error(), 0);
     }

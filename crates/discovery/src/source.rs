@@ -44,13 +44,9 @@
 //! ([`PartitionSource::partitions_built`] counts winning inserts, i.e.
 //! distinct materialized attribute sets — the same number the sequential
 //! sweep reports).
-//!
-//! The legacy `Vec<Value>`-keyed path ([`StrippedPartition::build`]) stays
-//! available behind the same interface for equivalence testing and for the
-//! `--discovery-bench` comparison.
 
 use crate::partition::{
-    g3_error, g3_error_from_shards, g3_error_interned, PartitionProber, StrippedPartition,
+    g3_error_from_shards, g3_error_interned, PartitionProber, StrippedPartition,
 };
 use dq_relation::{FxHasher, IndexPool, RelationInstance, ShardSource};
 use std::collections::hash_map::Entry;
@@ -76,10 +72,9 @@ pub(crate) fn resolve_threads(configured: usize) -> usize {
     }
 }
 
-/// Serves stripped partitions (and `g3` errors) for one instance, either
-/// from pooled interned indexes (the fast path) or from the legacy
-/// value-keyed builds.  Shareable across worker threads: see the module
-/// docs for the concurrency design.
+/// Serves stripped partitions (and `g3` errors) for one relation, from
+/// pooled interned indexes or from shard scans.  Shareable across worker
+/// threads: see the module docs for the concurrency design.
 pub struct PartitionSource<'a> {
     backend: Backend<'a>,
     pool: Arc<IndexPool>,
@@ -93,10 +88,8 @@ pub struct PartitionSource<'a> {
 
 /// Where single-attribute partitions and `g3` tallies come from.
 enum Backend<'a> {
-    /// Pooled interned indexes over a live instance (the fast path).
+    /// Pooled interned indexes over a live instance.
     Interned(&'a RelationInstance),
-    /// Legacy `Vec<Value>`-keyed builds from the row store.
-    Naive(&'a RelationInstance),
     /// Shard-cursor scans over an in-RAM snapshot or a memory-mapped
     /// relation — no pooled indexes, no row store, memory bounded by the
     /// dictionaries plus the partitions themselves.
@@ -144,12 +137,6 @@ impl<'a> PartitionSource<'a> {
         Self::with_backend(Backend::Interned(instance), pool, threads)
     }
 
-    /// The legacy source: every partition is built from the row store with
-    /// `Vec<Value>` keys.  Kept for equivalence tests and benchmarks.
-    pub fn naive(instance: &'a RelationInstance) -> Self {
-        Self::with_backend(Backend::Naive(instance), Arc::new(IndexPool::new()), 1)
-    }
-
     /// A shard-cursor source: single-attribute partitions and `g3` tallies
     /// come from sequential scans of `source`'s shards
     /// ([`StrippedPartition::from_shards`]), wider partitions from products
@@ -161,10 +148,7 @@ impl<'a> PartitionSource<'a> {
 
     /// An interned source with a private pool sized to the machine.
     pub fn with_fresh_pool(instance: &'a RelationInstance) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
-        Self::interned(instance, Arc::new(IndexPool::new()), threads)
+        Self::interned(instance, Arc::new(IndexPool::new()), resolve_threads(0))
     }
 
     /// Number of distinct partitions materialized so far (cache hits and
@@ -181,7 +165,7 @@ impl<'a> PartitionSource<'a> {
         self.races.load(Ordering::Relaxed)
     }
 
-    /// The shared index pool behind the interned path.
+    /// The shared index pool behind the interned backend.
     pub fn pool(&self) -> &Arc<IndexPool> {
         &self.pool
     }
@@ -252,7 +236,6 @@ impl<'a> PartitionSource<'a> {
     /// ([`warm_singles`](Self::warm_singles)).
     fn build(&self, key: &[usize]) -> StrippedPartition {
         match &self.backend {
-            Backend::Naive(instance) => StrippedPartition::build(instance, key),
             Backend::Interned(instance) if key.len() <= 1 => {
                 let index = self.pool.interned_for(instance, key, 1);
                 StrippedPartition::from_interned(&index)
@@ -280,15 +263,13 @@ impl<'a> PartitionSource<'a> {
     /// builds run concurrently with one thread each; otherwise the few
     /// builds run in sequence and each shards internally across the whole
     /// budget.  After warming, the per-level fan-out never nests parallel
-    /// builds.  A no-op on the naive backend (it has no indexes to warm;
-    /// its partitions are built by the fan-out itself).
+    /// builds.
     pub fn warm_singles(&self, attrs: &[usize]) {
         if attrs.is_empty() {
             return;
         }
         let singles: Vec<Vec<usize>> = attrs.iter().map(|&a| vec![a]).collect();
         match &self.backend {
-            Backend::Naive(_) => {}
             Backend::Interned(instance) => {
                 let sharded = instance.columnar().shard_count() > 1;
                 if singles.len() >= self.threads || !sharded {
@@ -312,7 +293,7 @@ impl<'a> PartitionSource<'a> {
     }
 
     /// The `g3` error of `lhs → rhs`, routed through the pooled interned
-    /// index of `lhs` on the fast path.  Like [`partition`](Self::partition),
+    /// index of `lhs` on the interned backend.  Like [`partition`](Self::partition),
     /// a cold index build runs single-threaded — the level fan-out calling
     /// this is the parallel axis.
     pub fn g3(&self, lhs: &[usize], rhs: &[usize]) -> f64 {
@@ -321,7 +302,6 @@ impl<'a> PartitionSource<'a> {
                 let index = self.pool.interned_for(instance, lhs, 1);
                 g3_error_interned(&index, instance, rhs)
             }
-            Backend::Naive(instance) => g3_error(instance, lhs, rhs),
             Backend::Shards(source) => g3_error_from_shards(*source, lhs, rhs),
         }
     }
@@ -354,20 +334,22 @@ mod tests {
     }
 
     #[test]
-    fn interned_source_matches_naive_builds() {
+    fn interned_and_shard_sources_match_the_oracle() {
         let inst = instance();
-        let fast = PartitionSource::with_fresh_pool(&inst);
-        let slow = PartitionSource::naive(&inst);
+        let shards = dq_relation::StoreShardSource::new(&inst);
+        let interned = PartitionSource::with_fresh_pool(&inst);
+        let streamed = PartitionSource::from_shards(&shards, 2);
         for attrs in [&[0usize][..], &[1], &[2], &[0, 1], &[1, 2], &[0, 1, 2], &[]] {
+            let expected = dq_oracle::discovery::partition_classes(&inst, attrs);
             assert_eq!(
-                *fast.partition(attrs),
-                *slow.partition(attrs),
+                interned.partition(attrs).classes(),
+                expected,
                 "attrs {attrs:?}"
             );
             assert_eq!(
-                *fast.partition(attrs),
-                StrippedPartition::build(&inst, attrs),
-                "attrs {attrs:?} vs direct build"
+                streamed.partition(attrs).classes(),
+                expected,
+                "attrs {attrs:?}"
             );
         }
     }
@@ -384,17 +366,20 @@ mod tests {
     }
 
     #[test]
-    fn g3_agrees_between_paths() {
+    fn g3_matches_the_oracle_on_both_backends() {
         let inst = instance();
-        let fast = PartitionSource::with_fresh_pool(&inst);
-        let slow = PartitionSource::naive(&inst);
+        let shards = dq_relation::StoreShardSource::new(&inst);
+        let interned = PartitionSource::with_fresh_pool(&inst);
+        let streamed = PartitionSource::from_shards(&shards, 1);
         for (lhs, rhs) in [
             (&[0usize][..], &[1usize][..]),
             (&[1], &[0]),
             (&[0, 1], &[2]),
             (&[2], &[0]),
         ] {
-            assert_eq!(fast.g3(lhs, rhs), slow.g3(lhs, rhs), "{lhs:?} -> {rhs:?}");
+            let expected = dq_oracle::discovery::g3_error(&inst, lhs, rhs);
+            assert_eq!(interned.g3(lhs, rhs), expected, "{lhs:?} -> {rhs:?}");
+            assert_eq!(streamed.g3(lhs, rhs), expected, "{lhs:?} -> {rhs:?}");
         }
     }
 
@@ -412,7 +397,7 @@ mod tests {
             vec![0, 1, 2],
         ];
         // Every worker requests every key; the cache must end up with one
-        // partition per distinct set, all equal to the direct builds.
+        // partition per distinct set, all equal to the oracle's.
         let requests: Vec<usize> = (0..8).collect();
         let per_worker = parallel_map(&requests, 8, |_| {
             attr_sets
@@ -423,8 +408,8 @@ mod tests {
         for partitions in &per_worker {
             for (attrs, partition) in attr_sets.iter().zip(partitions) {
                 assert_eq!(
-                    **partition,
-                    StrippedPartition::build(&inst, attrs),
+                    partition.classes(),
+                    dq_oracle::discovery::partition_classes(&inst, attrs),
                     "attrs {attrs:?}"
                 );
             }

@@ -1,24 +1,30 @@
 //! # dq-oracle
 //!
-//! Value-level reference detectors for CFDs, eCFDs and denial constraints.
+//! Value-level reference implementations for detection and discovery.
 //!
 //! `dq-core` runs one production kernel per dependency class over
-//! dictionary-encoded columns.  The detectors here are the straightforward
-//! definitions the kernels are checked against: they group tuples in a
+//! dictionary-encoded columns, and `dq-discovery` mines over pooled
+//! interned indexes.  The code here is the straightforward definitions
+//! both are checked against: the detectors group tuples in a
 //! `Vec<Value>`-keyed [`HashIndex`], compare [`Value`]s directly, and scan
-//! every ordered pair for denial constraints.  They are deliberately slow
-//! and deliberately simple; the identity suites and the benchmark harness's
-//! naive columns depend on this crate, no production code does.
+//! every ordered pair for denial constraints; the miners of [`discovery`]
+//! project `Vec<Value>` keys per tuple and run sequentially.  They are
+//! deliberately slow and deliberately simple; the identity suites and the
+//! benchmark harness's naive columns depend on this crate, no production
+//! code does.
 //!
-//! Every detector returns violations in the canonical (sorted) order the
-//! production kernels use, so reports compare with `==`.
+//! Every detector returns violations in the canonical order the production
+//! kernels use, and every miner reports dependencies in the production
+//! miners' canonical order, so results compare with `==`.
+
+pub mod discovery;
 
 use dq_core::ecfd::EcfdViolation;
 use dq_core::{
-    Cfd, CfdViolation, CfdViolationReport, DcTerm, DenialConstraint, Ecfd, EcfdViolationReport,
-    SetPattern,
+    Cfd, CfdViolation, CfdViolationReport, Cind, CindViolation, CindViolationReport, DcTerm,
+    DenialConstraint, Ecfd, EcfdViolationReport, Ind, SetPattern,
 };
-use dq_relation::{HashIndex, RelationInstance, Tuple, TupleId, Value};
+use dq_relation::{Database, DqResult, HashIndex, RelationInstance, Tuple, TupleId, Value};
 use std::collections::{BTreeSet, HashMap};
 
 /// All violations of `cfd` in `instance`.
@@ -302,6 +308,67 @@ pub fn denial_violations(dc: &DenialConstraint, instance: &RelationInstance) -> 
         n => panic!("denial constraints with {n} tuple variables are not supported"),
     }
     out
+}
+
+/// LHS tuples violating `cind`: tuples matching some pattern's `Xp`
+/// constants with no RHS tuple matching both the correspondence and the
+/// pattern's `Yp` constants, pattern by pattern in ascending tuple-id
+/// order.
+pub fn cind_violations(cind: &Cind, db: &Database) -> DqResult<Vec<CindViolation>> {
+    let lhs = db.require_relation(cind.lhs_schema().name())?;
+    let rhs = db.require_relation(cind.rhs_schema().name())?;
+    // Index the RHS relation on Y ++ Yp so each probe is a single lookup.
+    let index = HashIndex::build(rhs, &cind.rhs_probe_attrs());
+    let mut out = Vec::new();
+    for (pattern_idx, tp) in cind.tableau().iter().enumerate() {
+        for (id, tuple) in lhs.iter() {
+            let applies = cind
+                .lhs_pattern_attrs()
+                .iter()
+                .zip(&tp.lhs)
+                .all(|(&a, v)| tuple.get(a) == v);
+            if !applies {
+                continue;
+            }
+            let mut key = tuple.project(cind.lhs_attrs());
+            key.extend(tp.rhs.iter().cloned());
+            if !index.contains_key(&key) {
+                out.push(CindViolation {
+                    pattern: pattern_idx,
+                    tuple: id,
+                });
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// LHS tuples of `ind` with no matching RHS tuple, in ascending tuple-id
+/// order.  With `ignore_nulls`, tuples carrying `NULL` in any `X` position
+/// are exempt (SQL's foreign-key semantics).
+pub fn ind_violations(ind: &Ind, db: &Database, ignore_nulls: bool) -> DqResult<Vec<TupleId>> {
+    let lhs = db.require_relation(ind.lhs_relation())?;
+    let rhs = db.require_relation(ind.rhs_relation())?;
+    let index = HashIndex::build(rhs, ind.rhs_attrs());
+    let mut out = Vec::new();
+    for (id, tuple) in lhs.iter() {
+        if ignore_nulls && ind.lhs_attrs().iter().any(|&a| tuple.get(a).is_null()) {
+            continue;
+        }
+        if !index.contains_key(&tuple.project(ind.lhs_attrs())) {
+            out.push(id);
+        }
+    }
+    Ok(out)
+}
+
+/// [`cind_violations`] for every CIND of `cinds`.
+pub fn detect_cind_violations(db: &Database, cinds: &[Cind]) -> DqResult<CindViolationReport> {
+    let per_dependency = cinds
+        .iter()
+        .map(|c| cind_violations(c, db))
+        .collect::<DqResult<Vec<_>>>()?;
+    Ok(CindViolationReport::from_per_dependency(per_dependency))
 }
 
 /// [`cfd_violations`] for every CFD of `cfds`.

@@ -55,48 +55,35 @@ impl InsertionOutcome {
 }
 
 /// Repairs CIND violations by inserting the missing right-hand-side tuples
-/// (a bounded TGD-style chase).
+/// (a bounded TGD-style chase), detecting through a private
+/// [`DetectionEngine`].
 pub fn repair_cind_violations_by_insertion(
     db: &Database,
     cinds: &[Cind],
     config: &InsertionRepairConfig,
 ) -> DqResult<InsertionOutcome> {
-    repair_cind_violations_by_insertion_impl(db, cinds, config, None)
+    repair_cind_violations_by_insertion_with_engine(db, cinds, config, &DetectionEngine::new())
 }
 
 /// [`repair_cind_violations_by_insertion`] detecting through a shared
 /// [`DetectionEngine`]: every chase round probes the pooled interned RHS
-/// index instead of building a fresh `HashMap<Vec<Value>, _>` per CIND per
-/// round — and since the chase only *inserts*, each round's detection
+/// index — and since the chase only *inserts*, each round's detection
 /// extends the previous round's indexes in place (the append-only pool fast
-/// path) rather than rebuilding them.  Outcome is identical to the naive
-/// chase, round for round and insertion for insertion.
+/// path) rather than rebuilding them.
 pub fn repair_cind_violations_by_insertion_with_engine(
     db: &Database,
     cinds: &[Cind],
     config: &InsertionRepairConfig,
     engine: &DetectionEngine,
 ) -> DqResult<InsertionOutcome> {
-    repair_cind_violations_by_insertion_impl(db, cinds, config, Some(engine))
-}
-
-fn repair_cind_violations_by_insertion_impl(
-    db: &Database,
-    cinds: &[Cind],
-    config: &InsertionRepairConfig,
-    engine: Option<&DetectionEngine>,
-) -> DqResult<InsertionOutcome> {
     // Per-CIND detection inside the round (not one batched report up
     // front): an insertion made for one CIND can already satisfy — or
-    // newly violate — the next one, and the naive chase sees that.
+    // newly violate — the next one, and the chase must see that.
     let detect = |db: &Database, cind: &Cind| -> DqResult<Vec<dq_core::cind::CindViolation>> {
-        match engine {
-            Some(engine) => Ok(engine
-                .detect_cind_violations(db, std::slice::from_ref(cind))?
-                .of(0)
-                .to_vec()),
-            None => cind.violations(db),
-        }
+        Ok(engine
+            .detect_cind_violations(db, std::slice::from_ref(cind))?
+            .of(0)
+            .to_vec())
     };
     let mut repaired = db.clone();
     let mut inserted = Vec::new();
@@ -317,7 +304,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_carried_chase_equals_naive_chase() {
+    fn engine_carried_chase_inserts_the_derived_tuples() {
         let archive_schema = Arc::new(RelationSchema::new("archive", [("k", Domain::Text)]));
         let second = Cind::new(
             &target_schema(),
@@ -332,20 +319,38 @@ mod tests {
         let mut db = database(&[("x", "a"), ("y", "a"), ("z", "b")], &[("x", "A", 1)]);
         db.add_relation(RelationInstance::new(archive_schema));
         let cinds = [cind(), second];
-        let config = InsertionRepairConfig::default();
         let engine = DetectionEngine::new();
-        let fast =
-            repair_cind_violations_by_insertion_with_engine(&db, &cinds, &config, &engine).unwrap();
-        let slow = repair_cind_violations_by_insertion(&db, &cinds, &config).unwrap();
-        assert_eq!(fast.inserted, slow.inserted);
-        assert_eq!(fast.rounds, slow.rounds);
-        assert_eq!(fast.consistent, slow.consistent);
-        for name in ["src", "dst", "archive"] {
-            assert!(fast
-                .repaired
-                .relation(name)
-                .unwrap()
-                .same_tuples_as(slow.repaired.relation(name).unwrap()));
+        let outcome = repair_cind_violations_by_insertion_with_engine(
+            &db,
+            &cinds,
+            &InsertionRepairConfig::default(),
+            &engine,
+        )
+        .unwrap();
+        // Round 1: `y` gets its dst counterpart (dst t1); then the second
+        // CIND sees both `A`-labelled dst tuples, x (t0) and the new y (t1),
+        // and archives them in that order.  Round 2 changes nothing.
+        let inserted = |relation: &str, id| (relation.to_string(), TupleId(id));
+        assert_eq!(
+            outcome.inserted,
+            vec![
+                inserted("dst", 1),
+                inserted("archive", 0),
+                inserted("archive", 1)
+            ]
+        );
+        assert_eq!(outcome.rounds, 2);
+        assert!(outcome.consistent);
+        let archive = outcome.repaired.relation("archive").unwrap();
+        let keys: Vec<&Value> = archive.iter().map(|(_, t)| t.get(0)).collect();
+        assert_eq!(keys, [&Value::str("x"), &Value::str("y")]);
+        for cind in &cinds {
+            assert!(
+                dq_oracle::cind_violations(cind, &outcome.repaired)
+                    .unwrap()
+                    .is_empty(),
+                "{cind}"
+            );
         }
         assert!(
             engine.pool_stats().appends > 0,

@@ -1,7 +1,7 @@
-//! Equivalence properties of the detection kernels: every CFD, eCFD and
-//! denial-constraint entry point must produce reports equal to the
-//! value-level reference detectors of `dq-oracle`, on every backing the
-//! kernels run over —
+//! Equivalence properties of the detection kernels: every CFD, eCFD,
+//! denial-constraint, CIND and IND entry point must produce reports equal
+//! to the value-level reference detectors of `dq-oracle`, on every backing
+//! the kernels run over —
 //!
 //! * *pooled*: the engine's warm path, groups read off pooled indexes;
 //! * *unpooled*: the free `detect_*` functions and the engine's
@@ -11,8 +11,11 @@
 //!   shard override and re-opened with `open_mmap`, so it spans many
 //!   shards —
 //!
-//! at threads {1, 2}.  Batch detection must also equal clean-prefix
-//! detection plus incremental detection of appended tuples.
+//! at threads {1, 2}.  CINDs and INDs span two relations and have no shard
+//! paths: their convenience methods (unpooled) and the engine (pooled) are
+//! checked, under both IND null semantics.  Batch detection must also
+//! equal clean-prefix detection plus incremental detection of appended
+//! tuples.
 //!
 //! All cases are generated from seeded strategies (the offline proptest
 //! stand-in derives its RNG seed from the test name), so runs are exactly
@@ -54,6 +57,31 @@ fn workload_config() -> impl Strategy<Value = CustomerConfig> {
                 cities_per_country,
             },
         )
+}
+
+/// The paper's CINDs over the order/book/CD database plus ϕ6 with a `Yp`
+/// constant no book carries: its probe must short-circuit on the absent
+/// dictionary entry and report every audio-book CD.
+fn order_cinds(db: &Database) -> Vec<Cind> {
+    let mut cinds = paper_cinds();
+    let cd = db.relation("CD").expect("CD relation").schema();
+    let book = db.relation("book").expect("book relation").schema();
+    cinds.push(
+        Cind::new(
+            cd,
+            &["album", "price"],
+            &["genre"],
+            book,
+            &["title", "price"],
+            &["format"],
+            vec![CindPattern::new(
+                vec![Value::str("a-book")],
+                vec![Value::str("no-such-format")],
+            )],
+        )
+        .expect("well-formed"),
+    );
+    cinds
 }
 
 /// Runs `check` over `instance` saved with [`MAPPED_SHARD_ROWS`]-row shards
@@ -455,8 +483,11 @@ proptest! {
         prop_assert_eq!(&after, &dq_oracle::detect_cfd_violations(&instance, &cfds));
     }
 
-    /// Engine CIND reports over the order/book/CD database equal the
-    /// cross-relation detector, cold and warm.
+    /// CIND reports over the order/book/CD database equal the oracle's
+    /// `HashIndex` probe — per dependency from `Cind::violations`, batched
+    /// from the free `detect_cind_violations`, and from the engine cold and
+    /// warm at threads {1, 2} — for the paper's CINDs plus one whose `Yp`
+    /// constant is absent from the RHS dictionary.
     #[test]
     fn engine_cind_detection_equals_naive(
         orders in 1usize..250,
@@ -468,13 +499,88 @@ proptest! {
             violation_rate: [0.0, 0.01, 0.05, 0.25][rate_idx],
             seed,
         });
-        let cinds = paper_cinds();
-        let naive = detect_cind_violations(&workload.db, &cinds).unwrap();
-        for engine in [DetectionEngine::with_threads(1), DetectionEngine::with_threads(2)] {
-            let cold = engine.detect_cind_violations(&workload.db, &cinds).unwrap();
-            prop_assert_eq!(&cold, &naive);
-            let warm = engine.detect_cind_violations(&workload.db, &cinds).unwrap();
-            prop_assert_eq!(&warm, &naive);
+        let db = &workload.db;
+        let cinds = order_cinds(db);
+        let expected = dq_oracle::detect_cind_violations(db, &cinds).unwrap();
+        prop_assert_eq!(&detect_cind_violations(db, &cinds).unwrap(), &expected);
+        for (i, cind) in cinds.iter().enumerate() {
+            prop_assert_eq!(&cind.violations(db).unwrap()[..], expected.of(i), "{}", cind);
+            prop_assert_eq!(cind.holds_on(db).unwrap(), expected.of(i).is_empty());
+        }
+        for threads in THREADS {
+            let engine = DetectionEngine::with_threads(threads);
+            let cold = engine.detect_cind_violations(db, &cinds).unwrap();
+            prop_assert_eq!(&cold, &expected, "cold, threads {}", threads);
+            let warm = engine.detect_cind_violations(db, &cinds).unwrap();
+            prop_assert_eq!(&warm, &expected, "warm, threads {}", threads);
+        }
+    }
+
+    /// IND violation lists over the order/book/CD database with null titles
+    /// injected equal the oracle's `HashIndex` probe under both null
+    /// semantics — from `Ind::violations_with` / `holds_on_with` (unpooled)
+    /// and from the engine's `detect_ind_violations` / `ind_holds` (pooled)
+    /// at threads {1, 2}.
+    #[test]
+    fn engine_ind_detection_equals_oracle(
+        orders in 1usize..250,
+        rate_idx in 0usize..4,
+        seed in 0u64..1_000,
+        null_titles in 0usize..3,
+    ) {
+        let mut db = generate_orders(&OrderConfig {
+            orders,
+            violation_rate: [0.0, 0.01, 0.05, 0.25][rate_idx],
+            seed,
+        })
+        .db;
+        let order = db.relation_mut("order").expect("order relation");
+        for i in 0..null_titles {
+            order
+                .insert_values([
+                    Value::str(format!("n{i}")),
+                    Value::Null,
+                    Value::str("book"),
+                    Value::real(1.0),
+                ])
+                .expect("fits the schema");
+        }
+        let attr = |relation: &str, name: &str| db.relation(relation).unwrap().schema().attr(name);
+        let inds = vec![
+            Ind::from_indices(
+                "order",
+                vec![attr("order", "title"), attr("order", "price")],
+                "book",
+                vec![attr("book", "title"), attr("book", "price")],
+            ),
+            Ind::from_indices("order", vec![attr("order", "title")], "CD", vec![attr("CD", "album")]),
+            Ind::from_indices("book", vec![attr("book", "title")], "order", vec![attr("order", "title")]),
+            Ind::from_indices("CD", vec![attr("CD", "price")], "book", vec![attr("book", "price")]),
+        ];
+        for ignore_nulls in [false, true] {
+            let expected: Vec<Vec<TupleId>> = inds
+                .iter()
+                .map(|ind| dq_oracle::ind_violations(ind, &db, ignore_nulls).unwrap())
+                .collect();
+            for (ind, violations) in inds.iter().zip(&expected) {
+                prop_assert_eq!(&ind.violations_with(&db, ignore_nulls).unwrap(), violations, "{}", ind);
+                prop_assert_eq!(ind.holds_on_with(&db, ignore_nulls).unwrap(), violations.is_empty());
+            }
+            for threads in THREADS {
+                let engine = DetectionEngine::with_threads(threads);
+                prop_assert_eq!(
+                    &engine.detect_ind_violations(&db, &inds, ignore_nulls).unwrap(),
+                    &expected,
+                    "ignore_nulls {}, threads {}", ignore_nulls, threads
+                );
+                for (ind, violations) in inds.iter().zip(&expected) {
+                    prop_assert_eq!(
+                        engine.ind_holds(&db, ind, ignore_nulls).unwrap(),
+                        violations.is_empty(),
+                        "{}", ind
+                    );
+                }
+            }
         }
     }
 

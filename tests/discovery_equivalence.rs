@@ -1,9 +1,11 @@
-//! Equivalence properties of the interned fast paths added for discovery,
-//! repair and CQA: partitions derived from CSR postings, pooled-index FD/CFD
-//! mining, the engine-carried repair loop and the interned CQA rewriting
-//! must all produce results identical to the legacy `Vec<Value>`-keyed
-//! implementations — and the append-only `IndexPool` fast path must be
-//! invisible except in the pool counters.
+//! Equivalence properties of discovery, repair and CQA on the interned
+//! store: partitions derived from CSR postings, `g3` errors and FD, CFD,
+//! IND and CIND-condition mining must equal the value-level reference
+//! miners of `dq-oracle` (discovered sets, their order and candidate
+//! tallies) at threads {1, 2}; the engine-carried repair loop and the
+//! interned CQA rewriting must equal their naive twins — and the
+//! append-only `IndexPool` fast path must be invisible except in the pool
+//! counters.
 //!
 //! All cases are generated from seeded strategies (the offline proptest
 //! stand-in derives its RNG seed from the test name), so runs are exactly
@@ -14,7 +16,8 @@ use dq_cqa::rewrite::certain_answers_rewriting_naive;
 use dq_discovery::source::PartitionSource;
 use dq_gen::customer::{generate_customers, paper_cfds, CustomerConfig};
 use dq_gen::orders::{generate_orders, OrderConfig};
-use dq_relation::{CellRef, IndexPool, InternedIndex, RelationInstance, Value};
+use dq_oracle::discovery::{CfdSearch, FdSearch, IndSearch};
+use dq_relation::{CellRef, Domain, IndexPool, InternedIndex, RelationInstance, Value};
 use dq_repair::urepair::{repair_cfd_violations_naive, repair_cfd_violations_with_engine};
 use dq_repair::{RepairConfig, RepairCost};
 use proptest::prelude::*;
@@ -40,13 +43,47 @@ fn workload_config() -> impl Strategy<Value = CustomerConfig> {
         )
 }
 
-fn fd_config(use_interned: bool, max_g3: f64) -> FdDiscoveryConfig {
+/// Thread counts every discovery path is checked against the oracle at.
+const ORACLE_THREADS: [usize; 2] = [1, 2];
+
+fn fd_config(max_g3: f64) -> FdDiscoveryConfig {
     FdDiscoveryConfig {
         max_lhs: 3,
         max_g3,
         exclude: Vec::new(),
-        use_interned,
         threads: 0,
+    }
+}
+
+/// The oracle's parameters for an FD discovery config.
+fn oracle_fd(config: &FdDiscoveryConfig) -> FdSearch {
+    FdSearch {
+        max_lhs: config.max_lhs,
+        max_g3: config.max_g3,
+        exclude: config.exclude.clone(),
+    }
+}
+
+/// The oracle's parameters for a CFD discovery config.
+fn oracle_cfd(config: &CfdDiscoveryConfig) -> CfdSearch {
+    CfdSearch {
+        min_support: config.min_support,
+        max_lhs: config.max_lhs,
+        max_condition_attrs: config.max_condition_attrs,
+        max_candidate_g3: config.max_candidate_g3,
+        max_tableau: config.max_tableau,
+        exclude: config.exclude.clone(),
+    }
+}
+
+/// The oracle's parameters for an IND discovery config.
+fn oracle_ind(config: &IndDiscoveryConfig) -> IndSearch {
+    IndSearch {
+        max_arity: config.max_arity,
+        min_distinct: config.min_distinct,
+        min_support: config.min_support,
+        max_condition_values: config.max_condition_values,
+        ignore_nulls: config.ignore_nulls,
     }
 }
 
@@ -55,7 +92,8 @@ proptest! {
 
     /// Stripped partitions derived from interned CSR postings — directly,
     /// via products over the reusable probe table, and through the pooled
-    /// `PartitionSource` — equal the legacy builds on every attribute set.
+    /// `PartitionSource` — equal the oracle's value groupings on every
+    /// attribute set.
     #[test]
     fn interned_partitions_equal_naive_builds(config in workload_config()) {
         let workload = generate_customers(&config);
@@ -69,24 +107,28 @@ proptest! {
             .chain([vec![], vec![0, 1, 2]])
             .collect();
         for attrs in &attr_sets {
-            let naive = StrippedPartition::build(instance, attrs);
+            let expected = dq_oracle::discovery::partition_classes(instance, attrs);
             let store = instance.columnar();
             let index = InternedIndex::build(instance, &store, attrs, 2);
-            prop_assert_eq!(&StrippedPartition::from_interned(&index), &naive, "from_interned {:?}", attrs);
-            prop_assert_eq!(&*source.partition(attrs), &naive, "source {:?}", attrs);
+            let direct = StrippedPartition::from_interned(&index);
+            prop_assert_eq!(direct.classes(), &expected[..], "from_interned {:?}", attrs);
+            let pooled = source.partition(attrs);
+            prop_assert_eq!(pooled.classes(), &expected[..], "source {:?}", attrs);
         }
-        // Products agree with direct builds (π_X · π_Y = π_{X ∪ Y}).
+        // Products agree with the oracle (π_X · π_Y = π_{X ∪ Y}).
         let pa = source.partition(&[0]);
         let pb = source.partition(&[4]);
         let mut prober = PartitionProber::new();
+        let product = pa.product_with(&pb, &mut prober);
         prop_assert_eq!(
-            pa.product_with(&pb, &mut prober),
-            StrippedPartition::build(instance, &[0, 4])
+            product.classes(),
+            &dq_oracle::discovery::partition_classes(instance, &[0, 4])[..]
         );
     }
 
-    /// `g3` over pooled interned indexes is bit-identical to the naive
-    /// measure for every (LHS, RHS) candidate shape discovery generates.
+    /// `g3` over pooled interned indexes is bit-identical to the oracle's
+    /// value-level measure for every (LHS, RHS) candidate shape discovery
+    /// generates.
     #[test]
     fn g3_interned_equals_naive(config in workload_config()) {
         let workload = generate_customers(&config);
@@ -101,7 +143,7 @@ proptest! {
                 let index = InternedIndex::build(instance, &store, &[lhs_attr], 1);
                 prop_assert_eq!(
                     g3_error_interned(&index, instance, &[rhs_attr]),
-                    g3_error(instance, &[lhs_attr], &[rhs_attr]),
+                    dq_oracle::discovery::g3_error(instance, &[lhs_attr], &[rhs_attr]),
                     "{} -> {}", lhs_attr, rhs_attr
                 );
             }
@@ -109,34 +151,39 @@ proptest! {
     }
 
     /// FD discovery over interned partitions reports exactly the FDs (and
-    /// candidate counts) of the naive partition path, exact and approximate.
+    /// candidate counts) of the oracle's lattice walk, exact and
+    /// approximate.
     #[test]
     fn fd_discovery_interned_equals_naive(config in workload_config()) {
         let workload = generate_customers(&config);
         for max_g3 in [0.0, 0.15] {
-            let fast = discover_fds(&workload.dirty, &fd_config(true, max_g3));
-            let slow = discover_fds(&workload.dirty, &fd_config(false, max_g3));
-            prop_assert_eq!(&fast.fds, &slow.fds, "max_g3 {}", max_g3);
-            prop_assert_eq!(fast.candidates_checked, slow.candidates_checked);
+            let expected = dq_oracle::discovery::discover_fds(&workload.dirty, &oracle_fd(&fd_config(max_g3)));
+            for threads in ORACLE_THREADS {
+                let found = discover_fds(&workload.dirty, &FdDiscoveryConfig { threads, ..fd_config(max_g3) });
+                prop_assert_eq!(&found.fds, &expected.fds, "max_g3 {}, threads {}", max_g3, threads);
+                prop_assert_eq!(found.candidates_checked, expected.candidates_checked);
+            }
         }
     }
 
     /// Full CFD discovery — exact FDs, mined tableaux and constant patterns
-    /// — is identical between the interned and naive mining paths.
+    /// — equals the oracle's sequential value-keyed miner.
     #[test]
     fn cfd_discovery_interned_equals_naive(config in workload_config()) {
         let workload = generate_customers(&config);
-        let mk = |use_interned| CfdDiscoveryConfig {
+        let mk = |threads| CfdDiscoveryConfig {
             min_support: 2,
             max_lhs: 2,
-            use_interned,
+            threads,
             ..CfdDiscoveryConfig::default()
         };
-        let fast = discover_cfds(&workload.dirty, &mk(true));
-        let slow = discover_cfds(&workload.dirty, &mk(false));
-        prop_assert_eq!(&fast.variable_cfds, &slow.variable_cfds);
-        prop_assert_eq!(&fast.constant_cfds, &slow.constant_cfds);
-        prop_assert_eq!(fast.candidates_checked, slow.candidates_checked);
+        let expected = dq_oracle::discovery::discover_cfds(&workload.dirty, &oracle_cfd(&mk(1)));
+        for threads in ORACLE_THREADS {
+            let found = discover_cfds(&workload.dirty, &mk(threads));
+            prop_assert_eq!(&found.variable_cfds, &expected.variable_cfds, "threads {}", threads);
+            prop_assert_eq!(&found.constant_cfds, &expected.constant_cfds, "threads {}", threads);
+            prop_assert_eq!(found.candidates_checked, expected.candidates_checked);
+        }
     }
 
     /// The pooled profile equals a from-scratch reference computation.
@@ -318,63 +365,58 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// The fanned-out level-wise FD sweep is byte-identical to the
-    /// sequential sweep at every thread count, on both partition backends,
-    /// exact and approximate — dependencies, candidate counts and
-    /// partition tallies included.
+    /// sequential sweep at every thread count, exact and approximate —
+    /// dependencies, candidate counts and partition tallies included.
     #[test]
     fn parallel_fd_discovery_equals_sequential(config in workload_config()) {
         let workload = generate_customers(&config);
-        for use_interned in [false, true] {
-            for max_g3 in [0.0, 0.15] {
-                let mk = |threads| FdDiscoveryConfig {
-                    threads,
-                    ..fd_config(use_interned, max_g3)
-                };
-                let sequential = discover_fds(&workload.dirty, &mk(1));
-                for threads in THREAD_COUNTS {
-                    let parallel = discover_fds(&workload.dirty, &mk(threads));
-                    prop_assert_eq!(
-                        &parallel.fds, &sequential.fds,
-                        "threads {}, interned {}, max_g3 {}", threads, use_interned, max_g3
-                    );
-                    prop_assert_eq!(parallel.candidates_checked, sequential.candidates_checked);
-                    prop_assert_eq!(parallel.partitions_built, sequential.partitions_built);
-                }
+        for max_g3 in [0.0, 0.15] {
+            let mk = |threads| FdDiscoveryConfig {
+                threads,
+                ..fd_config(max_g3)
+            };
+            let sequential = discover_fds(&workload.dirty, &mk(1));
+            for threads in THREAD_COUNTS {
+                let parallel = discover_fds(&workload.dirty, &mk(threads));
+                prop_assert_eq!(
+                    &parallel.fds, &sequential.fds,
+                    "threads {}, max_g3 {}", threads, max_g3
+                );
+                prop_assert_eq!(parallel.candidates_checked, sequential.candidates_checked);
+                prop_assert_eq!(parallel.partitions_built, sequential.partitions_built);
             }
         }
     }
 
     /// Full CFD discovery — exact FDs, mined tableaux and constant
     /// patterns — is byte-identical between the sequential sweep and the
-    /// per-level fan-out at every thread count, on both backends.
+    /// per-level fan-out at every thread count.
     #[test]
     fn parallel_cfd_discovery_equals_sequential(config in workload_config()) {
         let workload = generate_customers(&config);
-        for use_interned in [false, true] {
-            let mk = |threads| CfdDiscoveryConfig {
-                min_support: 2,
-                max_lhs: 2,
-                use_interned,
-                threads,
-                ..CfdDiscoveryConfig::default()
-            };
-            let sequential = discover_cfds(&workload.dirty, &mk(1));
-            for threads in THREAD_COUNTS {
-                let parallel = discover_cfds(&workload.dirty, &mk(threads));
-                prop_assert_eq!(
-                    &parallel.variable_cfds, &sequential.variable_cfds,
-                    "threads {}, interned {}", threads, use_interned
-                );
-                prop_assert_eq!(&parallel.constant_cfds, &sequential.constant_cfds);
-                prop_assert_eq!(parallel.candidates_checked, sequential.candidates_checked);
-            }
+        let mk = |threads| CfdDiscoveryConfig {
+            min_support: 2,
+            max_lhs: 2,
+            threads,
+            ..CfdDiscoveryConfig::default()
+        };
+        let sequential = discover_cfds(&workload.dirty, &mk(1));
+        for threads in THREAD_COUNTS {
+            let parallel = discover_cfds(&workload.dirty, &mk(threads));
+            prop_assert_eq!(
+                &parallel.variable_cfds, &sequential.variable_cfds,
+                "threads {}", threads
+            );
+            prop_assert_eq!(&parallel.constant_cfds, &sequential.constant_cfds);
+            prop_assert_eq!(parallel.candidates_checked, sequential.candidates_checked);
         }
     }
 
     /// Tableau mining for one embedded FD — the `(CC, zip) → street` shape
     /// of ϕ1 — accepts the same patterns in the same order at every thread
     /// count (the per-condition-set fan-out merges candidates canonically,
-    /// including the `max_tableau` cap).
+    /// including the `max_tableau` cap), and the oracle's tableau loop
+    /// accepts those patterns too.
     #[test]
     fn parallel_tableau_mining_equals_sequential(
         config in workload_config(),
@@ -383,30 +425,32 @@ proptest! {
         let workload = generate_customers(&config);
         let schema = workload.dirty.schema().clone();
         let fd = Fd::new(&schema, &["CC", "zip"], &["street"]);
-        for use_interned in [false, true] {
-            let mk = |threads| CfdDiscoveryConfig {
-                min_support: 2,
-                max_tableau,
-                use_interned,
-                threads,
-                ..CfdDiscoveryConfig::default()
-            };
-            let sequential = discover_tableau_for_fd(&workload.dirty, &fd, &mk(1));
-            for threads in THREAD_COUNTS {
-                let parallel = discover_tableau_for_fd(&workload.dirty, &fd, &mk(threads));
-                match (&parallel, &sequential) {
-                    (Some(p), Some(s)) => {
-                        prop_assert_eq!(
-                            p.tableau(), s.tableau(),
-                            "threads {}, interned {}, cap {}", threads, use_interned, max_tableau
-                        );
-                    }
-                    (None, None) => {}
-                    _ => prop_assert!(
-                        false,
-                        "threads {} disagrees on tableau existence", threads
-                    ),
+        let mk = |threads| CfdDiscoveryConfig {
+            min_support: 2,
+            max_tableau,
+            threads,
+            ..CfdDiscoveryConfig::default()
+        };
+        let sequential = discover_tableau_for_fd(&workload.dirty, &fd, &mk(1));
+        prop_assert_eq!(
+            &sequential,
+            &dq_oracle::discovery::discover_tableau_for_fd(&workload.dirty, &fd, &oracle_cfd(&mk(1))),
+            "oracle, cap {}", max_tableau
+        );
+        for threads in THREAD_COUNTS {
+            let parallel = discover_tableau_for_fd(&workload.dirty, &fd, &mk(threads));
+            match (&parallel, &sequential) {
+                (Some(p), Some(s)) => {
+                    prop_assert_eq!(
+                        p.tableau(), s.tableau(),
+                        "threads {}, cap {}", threads, max_tableau
+                    );
                 }
+                (None, None) => {}
+                _ => prop_assert!(
+                    false,
+                    "threads {} disagrees on tableau existence", threads
+                ),
             }
         }
     }
@@ -429,8 +473,8 @@ proptest! {
 
     /// A parallel sweep over a *shared* pool stays byte-identical after an
     /// append-only growth round: the pooled indexes extend in place (the
-    /// `appends` counter rises) and the concurrent sweep over the extended
-    /// indexes reports exactly what a fresh naive sweep reports.
+    /// `appends` counter rises) and the concurrent FD and CFD sweeps over
+    /// the extended indexes report exactly what the oracle reports.
     #[test]
     fn parallel_discovery_survives_append_only_growth(
         config in workload_config(),
@@ -439,12 +483,14 @@ proptest! {
         let workload = generate_customers(&config);
         let mut instance = workload.dirty;
         let pool = Arc::new(IndexPool::new());
-        let parallel_config = FdDiscoveryConfig { threads: 4, ..fd_config(true, 0.0) };
+        let parallel_config = FdDiscoveryConfig { threads: 4, ..fd_config(0.0) };
+        let cfd_config = CfdDiscoveryConfig { min_support: 2, threads: 2, ..CfdDiscoveryConfig::default() };
         let before = discover_fds_with_pool(&instance, &parallel_config, &pool);
         prop_assert_eq!(
             &before.fds,
-            &discover_fds(&instance, &fd_config(false, 0.0)).fds
+            &dq_oracle::discovery::discover_fds(&instance, &oracle_fd(&parallel_config)).fds
         );
+        discover_cfds_with_pool(&instance, &cfd_config, &pool);
         // Append copies of existing tuples (no new dictionary entries, so
         // the u64 radix codecs stay extendable) plus the growth is real.
         let donors: Vec<_> = instance.iter().map(|(_, t)| t.clone()).collect();
@@ -454,8 +500,12 @@ proptest! {
         let after = discover_fds_with_pool(&instance, &parallel_config, &pool);
         prop_assert_eq!(
             &after.fds,
-            &discover_fds(&instance, &fd_config(false, 0.0)).fds
+            &dq_oracle::discovery::discover_fds(&instance, &oracle_fd(&parallel_config)).fds
         );
+        let mined = discover_cfds_with_pool(&instance, &cfd_config, &pool);
+        let expected = dq_oracle::discovery::discover_cfds(&instance, &oracle_cfd(&cfd_config));
+        prop_assert_eq!(&mined.variable_cfds, &expected.variable_cfds);
+        prop_assert_eq!(&mined.constant_cfds, &expected.constant_cfds);
         prop_assert!(
             pool.stats().appends > 0,
             "append-only growth must take the extension fast path"
@@ -490,9 +540,8 @@ fn order_db(config: &OrderConfig, null_titles: usize) -> Database {
     db
 }
 
-fn ind_config(use_interned: bool, ignore_nulls: bool) -> IndDiscoveryConfig {
+fn ind_config(ignore_nulls: bool) -> IndDiscoveryConfig {
     IndDiscoveryConfig {
-        use_interned,
         ignore_nulls,
         ..IndDiscoveryConfig::default()
     }
@@ -514,7 +563,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(25))]
 
     /// IND discovery over pooled distinct-projection sets reports exactly
-    /// the INDs (and candidate counts) of the naive row-oriented sweep —
+    /// the INDs (and candidate counts) of the oracle's row-oriented sweep —
     /// with and without SQL-style null semantics.
     #[test]
     fn ind_discovery_interned_equals_naive(
@@ -523,20 +572,26 @@ proptest! {
     ) {
         let db = order_db(&config, null_titles);
         for ignore_nulls in [false, true] {
-            let fast = discover_inds(&db, &ind_config(true, ignore_nulls)).unwrap();
-            let slow = discover_inds(&db, &ind_config(false, ignore_nulls)).unwrap();
-            prop_assert_eq!(&fast.inds, &slow.inds, "ignore_nulls {}", ignore_nulls);
-            prop_assert_eq!(fast.candidates_checked, slow.candidates_checked);
+            let cfg = ind_config(ignore_nulls);
+            let expected = dq_oracle::discovery::discover_inds(&db, &oracle_ind(&cfg)).unwrap();
+            for threads in ORACLE_THREADS {
+                let found = discover_inds_with_pool(&db, &cfg, &IndexPool::new(), threads).unwrap();
+                prop_assert_eq!(&found.inds, &expected.inds, "ignore_nulls {}, threads {}", ignore_nulls, threads);
+                prop_assert_eq!(found.candidates_checked, expected.candidates_checked);
+            }
             // Every reported IND genuinely holds under the configured
             // semantics.
-            for ind in &fast.inds {
-                prop_assert!(ind.holds_on_with(&db, ignore_nulls).unwrap(), "{}", ind);
+            for ind in &expected.inds {
+                prop_assert!(
+                    dq_oracle::ind_violations(ind, &db, ignore_nulls).unwrap().is_empty(),
+                    "{}", ind
+                );
             }
         }
     }
 
     /// CIND condition mining over CSR postings reports exactly the CINDs of
-    /// the naive per-value re-scan, across support thresholds — including
+    /// the oracle's per-value re-scan, across support thresholds — including
     /// the vacuous-condition guard when the embedded IND already holds.
     #[test]
     fn cind_condition_mining_interned_equals_naive(
@@ -549,31 +604,33 @@ proptest! {
         for ignore_nulls in [false, true] {
             let cfg = IndDiscoveryConfig {
                 min_support,
-                ..ind_config(true, ignore_nulls)
+                ..ind_config(ignore_nulls)
             };
-            let found = discover_cind_conditions(&db, &embedded, &cfg).unwrap();
-            let slow = discover_cind_conditions(
-                &db,
-                &embedded,
-                &IndDiscoveryConfig { use_interned: false, ..cfg },
-            )
-            .unwrap();
-            prop_assert_eq!(
-                &found, &slow,
-                "min_support {}, ignore_nulls {}", min_support, ignore_nulls
-            );
+            let expected =
+                dq_oracle::discovery::discover_cind_conditions(&db, &embedded, &oracle_ind(&cfg))
+                    .unwrap();
+            for threads in ORACLE_THREADS {
+                let found = discover_cind_conditions_with_pool(
+                    &db, &embedded, &cfg, &IndexPool::new(), threads,
+                )
+                .unwrap();
+                prop_assert_eq!(
+                    &found, &expected,
+                    "min_support {}, ignore_nulls {}, threads {}", min_support, ignore_nulls, threads
+                );
+            }
             // The vacuous-CIND guard: an IND held under the configured
             // null semantics never yields conditions.
-            if embedded.holds_on_with(&db, ignore_nulls).unwrap() {
-                prop_assert!(found.is_empty(), "vacuous CIND for a held IND");
+            if dq_oracle::ind_violations(&embedded, &db, ignore_nulls).unwrap().is_empty() {
+                prop_assert!(expected.is_empty(), "vacuous CIND for a held IND");
             }
         }
     }
 
     /// IND equivalence survives append-only growth over a shared pool: the
     /// distinct sets extend in place (the `appends` counter rises, even
-    /// when new values grow the dictionaries) and discovery output stays
-    /// byte-identical to the naive sweep.
+    /// when new values grow the dictionaries) and IND discovery and CIND
+    /// condition mining stay byte-identical to the oracle.
     #[test]
     fn ind_discovery_equivalence_survives_append_only_growth(
         config in order_config(),
@@ -581,13 +638,14 @@ proptest! {
     ) {
         let mut db = order_db(&config, 0);
         let pool = IndexPool::new();
-        let before = dq_discovery::ind_discovery::discover_inds_with_pool(
-            &db, &ind_config(true, false), &pool, 2,
-        ).unwrap();
+        let cfg = ind_config(false);
+        let embedded = embedded_ind(&db);
+        let before = discover_inds_with_pool(&db, &cfg, &pool, 2).unwrap();
         prop_assert_eq!(
             &before.inds,
-            &discover_inds(&db, &ind_config(false, false)).unwrap().inds
+            &dq_oracle::discovery::discover_inds(&db, &oracle_ind(&cfg)).unwrap().inds
         );
+        discover_cind_conditions_with_pool(&db, &embedded, &cfg, &pool, 2).unwrap();
         // Grow the order relation: copies of existing tuples plus one
         // brand-new title (a dictionary-growing append, exercising the
         // repack-aware extension).
@@ -604,18 +662,20 @@ proptest! {
                 Value::real(3.21),
             ])
             .expect("order tuple fits the schema");
-        let after = dq_discovery::ind_discovery::discover_inds_with_pool(
-            &db, &ind_config(true, false), &pool, 2,
-        ).unwrap();
+        let after = discover_inds_with_pool(&db, &cfg, &pool, 2).unwrap();
         prop_assert_eq!(
             &after.inds,
-            &discover_inds(&db, &ind_config(false, false)).unwrap().inds
+            &dq_oracle::discovery::discover_inds(&db, &oracle_ind(&cfg)).unwrap().inds
+        );
+        prop_assert_eq!(
+            discover_cind_conditions_with_pool(&db, &embedded, &cfg, &pool, 2).unwrap(),
+            dq_oracle::discovery::discover_cind_conditions(&db, &embedded, &oracle_ind(&cfg)).unwrap()
         );
         prop_assert!(
             pool.stats().appends > 0,
             "append-only growth must take the distinct-set extension fast path"
         );
-        // The engine's IND detector agrees with the naive checker on the
+        // The engine's IND detector agrees with the oracle's checker on the
         // grown database, for every discovered IND and both null semantics.
         let engine = DetectionEngine::new();
         for ignore_nulls in [false, true] {
@@ -625,11 +685,82 @@ proptest! {
             for (ind, report) in after.inds.iter().zip(&reports) {
                 prop_assert_eq!(
                     report,
-                    &ind.violations_with(&db, ignore_nulls).unwrap(),
+                    &dq_oracle::ind_violations(ind, &db, ignore_nulls).unwrap(),
                     "{} (ignore_nulls {})", ind, ignore_nulls
                 );
             }
         }
+    }
+}
+
+/// A `Real` column holding both `Int(3)` and `Real(3.0)`: `Value`'s `Ord`
+/// ties them while `Eq` tells them apart.  Discovery works under `Eq`, so
+/// the two are separate condition values — listed `Int` first by the
+/// canonical tie-break, whatever their dictionary order — and an IND into
+/// a column holding only `Real(3.0)` fails on the `Int(3)` cell.
+#[test]
+fn mixed_numeric_condition_values_follow_eq_semantics() {
+    let lhs_schema = Arc::new(dq_relation::RelationSchema::new(
+        "reading",
+        [("sensor", Domain::Text), ("level", Domain::Real)],
+    ));
+    let rhs_schema = Arc::new(dq_relation::RelationSchema::new(
+        "calibrated",
+        [("sensor", Domain::Text), ("level", Domain::Real)],
+    ));
+    let mut reading = RelationInstance::new(Arc::clone(&lhs_schema));
+    // `Real(3.0)` is interned first, so it has the smaller dictionary id.
+    for (sensor, level) in [
+        ("s1", Value::real(3.0)),
+        ("s2", Value::int(3)),
+        ("s3", Value::real(3.0)),
+        ("s4", Value::int(3)),
+        ("zz", Value::real(7.5)),
+    ] {
+        reading
+            .insert_values([Value::str(sensor), level])
+            .expect("fits the schema");
+    }
+    let mut calibrated = RelationInstance::new(Arc::clone(&rhs_schema));
+    for sensor in ["s1", "s2", "s3", "s4"] {
+        calibrated
+            .insert_values([Value::str(sensor), Value::real(3.0)])
+            .expect("fits the schema");
+    }
+    let mut db = Database::new();
+    db.add_relation(reading);
+    db.add_relation(calibrated);
+    // reading(sensor) ⊆ calibrated(sensor) fails only on `zz`, so both
+    // level-3 conditions hold and `7.5` does not.
+    let embedded = dq_core::ind::Ind::from_indices("reading", vec![0], "calibrated", vec![0]);
+    let config = IndDiscoveryConfig::default();
+    let expected =
+        dq_oracle::discovery::discover_cind_conditions(&db, &embedded, &oracle_ind(&config))
+            .unwrap();
+    assert_eq!(expected.len(), 1);
+    assert_eq!(
+        expected[0].tableau(),
+        [
+            CindPattern::new(vec![Value::int(3)], Vec::new()),
+            CindPattern::new(vec![Value::real(3.0)], Vec::new()),
+        ]
+    );
+    let found_inds = dq_oracle::discovery::discover_inds(&db, &oracle_ind(&config)).unwrap();
+    let level_ind = |ind: &dq_core::ind::Ind| {
+        ind.lhs_relation() == "reading" && ind.lhs_attrs() == [1] && ind.rhs_attrs() == [1]
+    };
+    assert!(
+        !found_inds.inds.iter().any(level_ind),
+        "Int(3) is not Eq to the calibrated Real(3.0)"
+    );
+    for threads in ORACLE_THREADS {
+        let mined =
+            discover_cind_conditions_with_pool(&db, &embedded, &config, &IndexPool::new(), threads)
+                .unwrap();
+        assert_eq!(mined, expected, "threads {threads}");
+        let inds = discover_inds_with_pool(&db, &config, &IndexPool::new(), threads).unwrap();
+        assert_eq!(inds.inds, found_inds.inds, "threads {threads}");
+        assert_eq!(inds.candidates_checked, found_inds.candidates_checked);
     }
 }
 

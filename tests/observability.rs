@@ -164,13 +164,11 @@ proptest! {
             max_lhs: 2,
             max_g3: 0.0,
             exclude: vec![],
-            use_interned: true,
             threads: 2,
         };
         let cfd_cfg = CfdDiscoveryConfig {
             min_support: 2,
             max_lhs: 2,
-            use_interned: true,
             threads: 2,
             ..CfdDiscoveryConfig::default()
         };

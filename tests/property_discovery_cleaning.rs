@@ -3,7 +3,7 @@
 //! instances, not just for the curated workloads.
 
 use dataquality::prelude::*;
-use dq_relation::{CompOp, Domain, RelationInstance, RelationSchema, Tuple, Value};
+use dq_relation::{CompOp, Domain, InternedIndex, RelationInstance, RelationSchema, Tuple, Value};
 use dq_repair::numeric::{repair_numeric_violations, NumericRepairConfig};
 use dq_repr::ctable::CTable;
 use proptest::prelude::*;
@@ -29,6 +29,11 @@ fn instance_from_rows(rows: Vec<(String, String, i64)>) -> RelationInstance {
     inst
 }
 
+/// The stripped partition of `inst` on `attrs`, from an interned index.
+fn partition(inst: &RelationInstance, attrs: &[usize]) -> StrippedPartition {
+    StrippedPartition::from_interned(&InternedIndex::build(inst, &inst.columnar(), attrs, 1))
+}
+
 fn small_rows() -> impl Strategy<Value = Vec<(String, String, i64)>> {
     proptest::collection::vec(("[a-c]{1}", "[p-r]{1}", 0i64..4), 0..12)
 }
@@ -36,15 +41,16 @@ fn small_rows() -> impl Strategy<Value = Vec<(String, String, i64)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Partition product equals the directly built partition, and the error
-    /// measure is monotone under refinement (adding attributes can only
-    /// lower or keep the error).
+    /// Partition product equals the directly derived partition (and the
+    /// oracle's value grouping), and the error measure is monotone under
+    /// refinement (adding attributes can only lower or keep the error).
     #[test]
     fn partition_product_and_monotonicity(rows in small_rows()) {
         let inst = instance_from_rows(rows);
-        let pa = StrippedPartition::build(&inst, &[0]);
-        let pb = StrippedPartition::build(&inst, &[1]);
-        let direct = StrippedPartition::build(&inst, &[0, 1]);
+        let pa = partition(&inst, &[0]);
+        let pb = partition(&inst, &[1]);
+        let direct = partition(&inst, &[0, 1]);
+        prop_assert_eq!(direct.classes(), &dq_oracle::discovery::partition_classes(&inst, &[0, 1])[..]);
         prop_assert_eq!(pa.product(&pb), direct.clone());
         prop_assert_eq!(pb.product(&pa), direct.clone());
         prop_assert!(direct.error() <= pa.error());
@@ -57,7 +63,8 @@ proptest! {
         let inst = instance_from_rows(rows);
         let fd = Fd::new(&three_col_schema(), &["A"], &["B"]);
         let holds = fd.holds_on(&inst);
-        prop_assert_eq!(g3_error(&inst, &[0], &[1]) == 0.0, holds);
+        let index = InternedIndex::build(&inst, &inst.columnar(), &[0], 1);
+        prop_assert_eq!(g3_error_interned(&index, &inst, &[1]) == 0.0, holds);
         prop_assert_eq!(g1_error(&inst, &[0], &[1]) == 0.0, holds);
     }
 
